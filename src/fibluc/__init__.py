@@ -54,6 +54,7 @@ from .sequences import (
     matrix_pow,
     power_entry_factor,
     seq,
+    seq_terms,
 )
 
 __version__ = "0.1.0"
@@ -102,5 +103,6 @@ __all__ = [
     "render",
     "run_catalog",
     "seq",
+    "seq_terms",
     "__version__",
 ]

@@ -10,28 +10,29 @@ from __future__ import annotations
 
 import threading
 
-from .poly import BivarPoly, ONE, X, Y, ZERO
+from .poly import BivarPoly
+from .sequences import SeqKind, seq_terms
 
 _lock = threading.Lock()
-_fib: list[BivarPoly] = [ZERO, ONE]
-_luc: list[BivarPoly] = [BivarPoly.const(2), X]
+# each table holds the terms its generator has yielded so far
+_tables = {kind: ([], seq_terms(kind)) for kind in SeqKind}
+
+
+def _cached(kind: SeqKind, n: int) -> BivarPoly:
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
+    table, terms = _tables[kind]
+    with _lock:
+        while len(table) <= n:
+            table.append(next(terms))
+        return table[n]
 
 
 def fib_poly(n: int) -> BivarPoly:
     """F_n(x, y), memoized."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    with _lock:
-        while len(_fib) <= n:
-            _fib.append(X * _fib[-1] + Y * _fib[-2])
-        return _fib[n]
+    return _cached(SeqKind.FIB, n)
 
 
 def luc_poly(n: int) -> BivarPoly:
     """L_n(x, y), memoized."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    with _lock:
-        while len(_luc) <= n:
-            _luc.append(X * _luc[-1] + Y * _luc[-2])
-        return _luc[n]
+    return _cached(SeqKind.LUC, n)

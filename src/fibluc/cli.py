@@ -11,12 +11,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import idlang
 from .identities import catalog_by_id, run_catalog
 from .poly import canonical_text
 from .report import CheckReport, DomainError
-from .sequences import SeqKind, seq
+from .sequences import SeqKind, seq, seq_terms
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,11 +94,17 @@ def _parse_ranges(args: list[str]) -> dict[str, tuple[int, int]]:
                 raise _UsageError(f"bad range {part!r}, expected name=low..high")
             name, _, span = part.partition("=")
             low_text, _, high_text = span.partition("..")
+            name = name.strip()
+            if name not in idlang.META_VARS:
+                known = ", ".join(sorted(idlang.META_VARS))
+                raise _UsageError(f"unknown range name {name!r}, expected one of: {known}")
             try:
                 low, high = int(low_text), int(high_text)
             except ValueError:
                 raise _UsageError(f"bad range bounds in {part!r}") from None
-            ranges[name.strip()] = (low, high)
+            if low > high:
+                raise _UsageError(f"empty range {part!r}: low bound above high bound")
+            ranges[name] = (low, high)
     return ranges
 
 
@@ -120,7 +127,7 @@ def _substitution(expr_text: str | None, default):
 
 
 def _cmd_eval(args) -> int:
-    kind = SeqKind.FIB if args.kind == "F" else SeqKind.LUC
+    kind = SeqKind(args.kind)
     if args.n < 0:
         raise _UsageError("n must be nonnegative")
     if args.at is not None:
@@ -207,18 +214,10 @@ def _cmd_verify(args) -> int:
 def _cmd_sequence(args) -> int:
     if args.count < 1:
         raise _UsageError("--count must be at least 1")
-    kind = SeqKind.FIB if args.kind == "F" else SeqKind.LUC
+    kind = SeqKind(args.kind)
     x0 = _parse_rational(args.x)
     y0 = _parse_rational(args.y)
-    u_prev, u_cur = (Fraction(0), Fraction(1)) if kind is SeqKind.FIB else (Fraction(2), x0)
-    for index in range(args.count):
-        if index == 0:
-            value = u_prev
-        elif index == 1:
-            value = u_cur
-        else:
-            u_prev, u_cur = u_cur, x0 * u_cur + y0 * u_prev
-            value = u_cur
+    for value in islice(seq_terms(kind, x0, y0), args.count):
         print(value)
     return 0
 

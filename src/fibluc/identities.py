@@ -65,18 +65,13 @@ def _comp_y(k: int) -> BivarPoly:
     return sign * Y**k
 
 
-def _root_diff_y(k: int) -> BivarPoly:
-    """(-1)^k * y^k, the y argument paired with the D*F_k substitution."""
-    sign = -1 if k % 2 else 1
-    return sign * Y**k
-
-
 def _delta_fib(k: int) -> QuadExtElem:
     """D * F_k, the extension-ring x argument of the square-root substitutions."""
     return QuadExtElem(ZERO, fib_poly(k))
 
 
 def _neg_y_pow(e: int) -> BivarPoly:
+    """(-y)^e; also the y argument paired with the D*F_k substitution."""
     return (-Y) ** e
 
 
@@ -338,7 +333,7 @@ def build_catalog() -> list[IdentityCase]:
             "F(2n+1)(D F(k), (-1)^k y^k) L(k) = L(k(2n+1))",
             0,
             1,
-            lambda n, k: seq(SeqKind.FIB, 2 * n + 1, _delta_fib(k), _root_diff_y(k)) * luc_poly(k),
+            lambda n, k: seq(SeqKind.FIB, 2 * n + 1, _delta_fib(k), _neg_y_pow(k)) * luc_poly(k),
             lambda n, k: luc_poly(k * (2 * n + 1)),
         ),
         binary(
@@ -346,7 +341,7 @@ def build_catalog() -> list[IdentityCase]:
             "F(2n)(D F(k), (-1)^k y^k) L(k) = D F(2kn)",
             0,
             1,
-            lambda n, k: seq(SeqKind.FIB, 2 * n, _delta_fib(k), _root_diff_y(k)) * luc_poly(k),
+            lambda n, k: seq(SeqKind.FIB, 2 * n, _delta_fib(k), _neg_y_pow(k)) * luc_poly(k),
             lambda n, k: DELTA * fib_poly(2 * k * n),
         ),
         binary(
@@ -354,7 +349,7 @@ def build_catalog() -> list[IdentityCase]:
             "L(2n+1)(D F(k), (-1)^k y^k) = D F(k(2n+1))",
             0,
             1,
-            lambda n, k: seq(SeqKind.LUC, 2 * n + 1, _delta_fib(k), _root_diff_y(k)),
+            lambda n, k: seq(SeqKind.LUC, 2 * n + 1, _delta_fib(k), _neg_y_pow(k)),
             lambda n, k: DELTA * fib_poly(k * (2 * n + 1)),
         ),
         binary(
@@ -362,7 +357,7 @@ def build_catalog() -> list[IdentityCase]:
             "L(2n)(D F(k), (-1)^k y^k) = L(2kn)",
             0,
             1,
-            lambda n, k: seq(SeqKind.LUC, 2 * n, _delta_fib(k), _root_diff_y(k)),
+            lambda n, k: seq(SeqKind.LUC, 2 * n, _delta_fib(k), _neg_y_pow(k)),
             lambda n, k: luc_poly(2 * k * n),
         ),
         binary(
@@ -370,7 +365,7 @@ def build_catalog() -> list[IdentityCase]:
             "(-1)^k y^k L(k(2n-1)) + L(k(2n+1)) = L(2kn) L(k)",
             1,
             1,
-            lambda n, k: _root_diff_y(k) * luc_poly(k * (2 * n - 1)) + luc_poly(k * (2 * n + 1)),
+            lambda n, k: _neg_y_pow(k) * luc_poly(k * (2 * n - 1)) + luc_poly(k * (2 * n + 1)),
             lambda n, k: luc_poly(2 * k * n) * luc_poly(k),
         ),
         binary(
@@ -378,7 +373,7 @@ def build_catalog() -> list[IdentityCase]:
             "(-1)^k y^k F(2kn) + F(k(2n+2)) = F(k(2n+1)) L(k)",
             0,
             1,
-            lambda n, k: _root_diff_y(k) * fib_poly(2 * k * n) + fib_poly(k * (2 * n + 2)),
+            lambda n, k: _neg_y_pow(k) * fib_poly(2 * k * n) + fib_poly(k * (2 * n + 2)),
             lambda n, k: fib_poly(k * (2 * n + 1)) * luc_poly(k),
         ),
         binary(
@@ -409,17 +404,6 @@ def catalog_by_id() -> dict[str, IdentityCase]:
 # -- checking ------------------------------------------------------------------
 
 
-def _sides_equal(left, right) -> bool:
-    if isinstance(left, tuple) or isinstance(right, tuple):
-        return (
-            isinstance(left, tuple)
-            and isinstance(right, tuple)
-            and len(left) == len(right)
-            and all(_sides_equal(a, b) for a, b in zip(left, right))
-        )
-    return left == right
-
-
 def render_side(value) -> str:
     """Human-readable form of an evaluator result for failure reports."""
     if isinstance(value, tuple):
@@ -446,7 +430,7 @@ def check_case(case: IdentityCase, n: int, k: int | None = None) -> CellResult:
     start = time.perf_counter()
     left = case.lhs(*args)
     right = case.rhs(*args)
-    passed = _sides_equal(left, right)
+    passed = left == right  # tuples compare elementwise and never equal a scalar
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if passed:
         return CellResult(case.case_id, n, k_out, True, elapsed_ms)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import importlib.resources
 import time
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from ._seqcache import fib_poly, luc_poly
 from .poly import BivarPoly, DELTA, X, Y, ZERO, canonical_text
@@ -38,7 +38,15 @@ from .report import CellResult, CheckReport, DomainError
 from .sequences import SeqKind, binomial, seq
 
 _RESERVED = {"x", "y", "D", "F", "L", "binom", "sum"}
-_META_VARS = {"n", "k"}
+META_VARS = {"n", "k"}
+
+#: Deepest expression the parser accepts, as nesting of sub-expressions (the
+#: whole expression is level 1; each parenthesized group, bracketed index,
+#: argument or sum body is one more) and as AST height (a leaf is 1).  The
+#: parser, evaluator and renderer recurse once per level, so this keeps every
+#: input well inside Python's recursion limit.
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
 
 class ParseError(Exception):
@@ -215,6 +223,10 @@ class _Parser:
         self._tokens = _tokenize(source)
         self._pos = 0
         self._scope: list[str] = []
+        self._nesting = 0
+        # AST heights by node id; ids stay unique because every node built
+        # is held by the tree until the parse ends
+        self._heights: dict[int, int] = {}
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -248,6 +260,22 @@ class _Parser:
         if token.kind != "EOF":
             raise self._error(f"unexpected trailing input {token.text!r}")
 
+    def _build(self, cls: type, *fields) -> Node:
+        """``cls(*fields)``, unless the new node would make the tree taller
+        than MAX_DEPTH.  A SeqApp's argument pair counts as two children;
+        fields that are not nodes count as leaves."""
+        heights = self._heights
+        tallest_child = 1
+        for child in fields + fields[2] if cls is SeqApp and fields[2] else fields:
+            height = heights.get(id(child), 1)
+            if height > tallest_child:
+                tallest_child = height
+        if tallest_child >= MAX_DEPTH:
+            raise self._error(_TOO_DEEP)
+        node = cls(*fields)
+        heights[id(node)] = tallest_child + 1
+        return node
+
     # entry points
 
     def parse_identity(self) -> Eq:
@@ -262,48 +290,44 @@ class _Parser:
         self._expect_end()
         return node
 
-    # ring-valued expressions
+    # expressions: ring-valued ones are chains of factors, index
+    # expressions the same chains of index atoms
 
-    def _expr(self) -> Node:
-        node = self._term()
+    def _expr(self, operand: Callable[[], Node] | None = None) -> Node:
+        operand = operand or self._factor
+        self._nesting += 1
+        if self._nesting > MAX_DEPTH:
+            raise self._error(_TOO_DEEP)
+        node = self._term(operand)
         while True:
             if self._match("+"):
-                node = Add(node, self._term())
+                node = self._build(Add, node, self._term(operand))
             elif self._match("-"):
-                node = Sub(node, self._term())
+                node = self._build(Sub, node, self._term(operand))
             else:
+                self._nesting -= 1
                 return node
 
-    def _term(self) -> Node:
-        node = self._unary()
+    def _term(self, operand: Callable[[], Node]) -> Node:
+        node = self._unary(operand)
         while self._match("*"):
-            node = Mul(node, self._unary())
+            node = self._build(Mul, node, self._unary(operand))
         return node
 
-    def _unary(self) -> Node:
+    def _unary(self, operand: Callable[[], Node]) -> Node:
         if self._match("-"):
-            return Neg(self._factor())
-        return self._factor()
+            return self._build(Neg, operand())
+        return operand()
+
+    def _ixexpr(self) -> Node:
+        return self._expr(self._ixatom)
 
     def _factor(self) -> Node:
         node = self._base()
         if self._match("^"):
-            node = Pow(node, self._exponent())
+            exponent = self._ixatom("an exponent (integer, meta-variable, or parenthesized index)")
+            node = self._build(Pow, node, exponent)
         return node
-
-    def _exponent(self) -> Node:
-        if self._match("("):
-            inner = self._ixexpr()
-            self._expect(")")
-            return inner
-        token = self._peek()
-        if token.kind == "INT":
-            self._advance()
-            return IntLit(int(token.text))
-        if token.kind == "NAME":
-            self._advance()
-            return self._index_name(token)
-        raise self._error("expected an exponent (integer, meta-variable, or parenthesized index)")
 
     def _base(self) -> Node:
         token = self._peek()
@@ -346,7 +370,7 @@ class _Parser:
             y_arg = self._expr()
             self._expect(")")
             args = (x_arg, y_arg)
-        return SeqApp(kind, index, args)
+        return self._build(SeqApp, kind, index, args)
 
     def _binom(self, token: _Token) -> Binom:
         if not self._match("("):
@@ -355,7 +379,7 @@ class _Parser:
         self._expect(",")
         lower = self._ixexpr()
         self._expect(")")
-        return Binom(upper, lower)
+        return self._build(Binom, upper, lower)
 
     def _sum(self, token: _Token) -> Sum:
         if not self._match("("):
@@ -377,38 +401,15 @@ class _Parser:
         finally:
             self._scope.pop()
         self._expect(")")
-        return Sum(var_token.text, low, high, body)
+        return self._build(Sum, var_token.text, low, high, body)
 
     def _index_name(self, token: _Token) -> MetaVar:
         name = token.text
-        if name in self._scope or name in _META_VARS:
+        if name in self._scope or name in META_VARS:
             return MetaVar(name)
         raise ParseError(f"unknown name '{name}'", token.line, token.col)
 
-    # integer-valued index expressions
-
-    def _ixexpr(self) -> Node:
-        node = self._ixterm()
-        while True:
-            if self._match("+"):
-                node = Add(node, self._ixterm())
-            elif self._match("-"):
-                node = Sub(node, self._ixterm())
-            else:
-                return node
-
-    def _ixterm(self) -> Node:
-        node = self._ixunary()
-        while self._match("*"):
-            node = Mul(node, self._ixunary())
-        return node
-
-    def _ixunary(self) -> Node:
-        if self._match("-"):
-            return Neg(self._ixatom())
-        return self._ixatom()
-
-    def _ixatom(self) -> Node:
+    def _ixatom(self, expected: str = "an index expression") -> Node:
         token = self._peek()
         if token.kind == "INT":
             self._advance()
@@ -422,7 +423,7 @@ class _Parser:
             self._expect(")")
             return inner
         shown = token.text if token.kind != "EOF" else "end of input"
-        raise self._error(f"expected an index expression, found {shown!r}")
+        raise self._error(f"expected {expected}, found {shown!r}")
 
 
 def parse(source: str) -> Eq:
@@ -438,7 +439,20 @@ def parse_expression(source: str) -> Node:
 # -- evaluation -------------------------------------------------------------------
 
 
-def _eval_ix(node: Node, env: Mapping[str, int]) -> int:
+def _eval_index(node: Node, env: Mapping[str, int]) -> int:
+    value = _eval_ring(node, env)
+    if not isinstance(value, int):
+        raise ValueError(f"not an index expression: {render(node)}")
+    return value
+
+
+def _binding_text(env: Mapping[str, int]) -> str:
+    return "{" + ", ".join(f"{name}={env[name]}" for name in sorted(env)) + "}"
+
+
+def _eval_ring(node: Node, env: Mapping[str, int]):
+    """Exact value of ``node``; a plain int when no x, y, D or F/L occurs in it."""
+    # the node kinds of index expressions come first: they are the most frequent
     if isinstance(node, IntLit):
         return node.value
     if isinstance(node, MetaVar):
@@ -447,32 +461,6 @@ def _eval_ix(node: Node, env: Mapping[str, int]) -> int:
         except KeyError:
             raise DomainError(f"unbound meta-variable '{node.name}'") from None
     if isinstance(node, Neg):
-        return -_eval_ix(node.operand, env)
-    if isinstance(node, Add):
-        return _eval_ix(node.left, env) + _eval_ix(node.right, env)
-    if isinstance(node, Sub):
-        return _eval_ix(node.left, env) - _eval_ix(node.right, env)
-    if isinstance(node, Mul):
-        return _eval_ix(node.left, env) * _eval_ix(node.right, env)
-    raise ValueError(f"not an index expression: {render(node)}")
-
-
-def _binding_text(env: Mapping[str, int]) -> str:
-    return "{" + ", ".join(f"{name}={env[name]}" for name in sorted(env)) + "}"
-
-
-def _eval_ring(node: Node, env: Mapping[str, int]):
-    if isinstance(node, IntLit):
-        return BivarPoly.const(node.value)
-    if isinstance(node, VarX):
-        return X
-    if isinstance(node, VarY):
-        return Y
-    if isinstance(node, VarDelta):
-        return DELTA
-    if isinstance(node, MetaVar):
-        return BivarPoly.const(_eval_ix(node, env))
-    if isinstance(node, Neg):
         return -_eval_ring(node.operand, env)
     if isinstance(node, Add):
         return _eval_ring(node.left, env) + _eval_ring(node.right, env)
@@ -480,24 +468,30 @@ def _eval_ring(node: Node, env: Mapping[str, int]):
         return _eval_ring(node.left, env) - _eval_ring(node.right, env)
     if isinstance(node, Mul):
         return _eval_ring(node.left, env) * _eval_ring(node.right, env)
+    if isinstance(node, VarX):
+        return X
+    if isinstance(node, VarY):
+        return Y
+    if isinstance(node, VarDelta):
+        return DELTA
     if isinstance(node, Pow):
-        exponent = _eval_ix(node.exponent, env)
+        exponent = _eval_index(node.exponent, env)
         if exponent < 0:
             raise DomainError(
                 f"negative exponent {exponent} in {render(node)} at {_binding_text(env)}"
             )
         return _eval_ring(node.base, env) ** exponent
     if isinstance(node, Binom):
-        upper = _eval_ix(node.upper, env)
-        lower = _eval_ix(node.lower, env)
+        upper = _eval_index(node.upper, env)
+        lower = _eval_index(node.lower, env)
         if upper < 0:
             raise DomainError(
                 f"negative binomial index {upper} in {render(node)} at {_binding_text(env)}"
             )
-        return BivarPoly.const(binomial(upper, lower))
+        return binomial(upper, lower)
     if isinstance(node, Sum):
-        low = _eval_ix(node.low, env)
-        high = _eval_ix(node.high, env)
+        low = _eval_index(node.low, env)
+        high = _eval_index(node.high, env)
         total = ZERO
         if low > high:
             return total
@@ -507,7 +501,7 @@ def _eval_ring(node: Node, env: Mapping[str, int]):
             total = total + _eval_ring(node.body, inner)
         return total
     if isinstance(node, SeqApp):
-        index = _eval_ix(node.index, env)
+        index = _eval_index(node.index, env)
         if index < 0:
             raise DomainError(
                 f"negative sequence index {index} in {render(node)} at {_binding_text(env)}"
@@ -516,8 +510,7 @@ def _eval_ring(node: Node, env: Mapping[str, int]):
             return fib_poly(index) if node.kind == "F" else luc_poly(index)
         x_arg = _eval_ring(node.args[0], env)
         y_arg = _eval_ring(node.args[1], env)
-        kind = SeqKind.FIB if node.kind == "F" else SeqKind.LUC
-        return seq(kind, index, x_arg, y_arg)
+        return seq(SeqKind(node.kind), index, x_arg, y_arg)
     if isinstance(node, Eq):
         raise ValueError("cannot evaluate an identity; evaluate one side")
     raise ValueError(f"cannot evaluate node {node!r}")
@@ -525,7 +518,8 @@ def _eval_ring(node: Node, env: Mapping[str, int]):
 
 def evaluate(node: Node, binding: Mapping[str, int]):
     """Exact ring value of an expression under the given meta-variable binding."""
-    return _eval_ring(node, dict(binding))
+    value = _eval_ring(node, dict(binding))
+    return BivarPoly.const(value) if isinstance(value, int) else value
 
 
 def free_meta_vars(node: Node) -> set[str]:
@@ -616,18 +610,14 @@ _LEVEL_POW = 4
 _LEVEL_ATOM = 5
 
 
-def _node_level(node: Node) -> int:
-    if isinstance(node, Eq):
-        return _LEVEL_EQ
-    if isinstance(node, (Add, Sub)):
-        return _LEVEL_ADD
-    if isinstance(node, Mul):
-        return _LEVEL_MUL
-    if isinstance(node, Neg):
-        return _LEVEL_UNARY
-    if isinstance(node, Pow):
-        return _LEVEL_POW
-    return _LEVEL_ATOM
+_NODE_LEVELS = {
+    Eq: _LEVEL_EQ,
+    Add: _LEVEL_ADD,
+    Sub: _LEVEL_ADD,
+    Mul: _LEVEL_MUL,
+    Neg: _LEVEL_UNARY,
+    Pow: _LEVEL_POW,
+}
 
 
 def _render(node: Node, min_level: int) -> str:
@@ -674,7 +664,7 @@ def _render(node: Node, min_level: int) -> str:
         )
     else:
         raise ValueError(f"cannot render {node!r}")
-    if _node_level(node) < min_level:
+    if _NODE_LEVELS.get(type(node), _LEVEL_ATOM) < min_level:
         return f"({text})"
     return text
 

@@ -150,16 +150,7 @@ class BivarPoly:
             # single monomial: power it directly instead of squaring
             ((i, j), coeff), = self._terms.items()
             return BivarPoly({(i * exponent, j * exponent): coeff**exponent})
-        result = BivarPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return binary_power(self, exponent, ONE)
 
     def __eq__(self, other: object) -> bool:
         rhs = self._coerce(other)
@@ -168,6 +159,9 @@ class BivarPoly:
         return self._terms == rhs._terms
 
     def __hash__(self) -> int:
+        # constants compare equal to their number, so they must hash like it
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
@@ -207,6 +201,22 @@ class BivarPoly:
 
     def __repr__(self) -> str:
         return f"BivarPoly({canonical_text(self)})"
+
+
+def binary_power(base, exponent: int, one):
+    """base**exponent by binary squaring, for any value with ``*``.
+
+    ``one`` is the multiplicative identity of base's ring; the caller
+    checks that the exponent is a nonnegative integer.
+    """
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def _power_table(value, top: int) -> list:
@@ -303,16 +313,7 @@ class QuadExtElem:
     def __pow__(self, exponent: int) -> QuadExtElem:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        result = QuadExtElem(ONE)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return binary_power(self, exponent, QuadExtElem(ONE))
 
     def __eq__(self, other: object) -> bool:
         rhs = self._coerce(other)

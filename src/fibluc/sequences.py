@@ -17,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from math import comb
+from typing import Iterator
 
-from .poly import ONE, QuadExtElem, X, Y, ZERO
+from .poly import ONE, QuadExtElem, X, Y, ZERO, binary_power, canonical_text
 
 
 class SeqKind(Enum):
@@ -27,25 +29,30 @@ class SeqKind(Enum):
     LUC = "L"
 
 
-def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
-    """n-th term of u_m = x_arg*u_{m-1} + y_arg*u_{m-2} with seeds by kind.
+def seq_terms(kind: SeqKind, x_arg=X, y_arg=Y) -> Iterator:
+    """u_0, u_1, ... of u_m = x_arg*u_{m-1} + y_arg*u_{m-2} with seeds by kind.
 
     Fib seeds are (0, 1), Luc seeds are (2, x_arg).  Arguments may be
-    polynomials, extension elements, integers, or Fractions; the result is
-    computed iteratively and exactly in whatever ring they span.
+    polynomials, extension elements, integers, or Fractions; the terms are
+    computed exactly in whatever ring they span.  Each term is computed only
+    when it is requested, never one ahead.
     """
-    if n < 0:
-        raise ValueError(f"sequence index must be nonnegative, got {n}")
     one = x_arg**0
     if kind is SeqKind.FIB:
         u_prev, u_cur = one * 0, one
     else:
         u_prev, u_cur = one * 2, x_arg
-    if n == 0:
-        return u_prev
-    for _ in range(n - 1):
+    yield u_prev
+    while True:
+        yield u_cur
         u_prev, u_cur = u_cur, x_arg * u_cur + y_arg * u_prev
-    return u_cur
+
+
+def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
+    """n-th term of :func:`seq_terms`."""
+    if n < 0:
+        raise ValueError(f"sequence index must be nonnegative, got {n}")
+    return next(islice(seq_terms(kind, x_arg, y_arg), n, None))
 
 
 def fib(n: int, x_arg=X, y_arg=Y):
@@ -109,28 +116,15 @@ class PolyMatrix2:
         return PolyMatrix2(one, zero, zero, one)
 
     def __str__(self) -> str:
-        from .poly import canonical_text
-
-        def cell(v):
-            return canonical_text(v) if not isinstance(v, (int, Fraction)) else str(v)
-
-        return f"[[{cell(self.e11)}, {cell(self.e12)}], [{cell(self.e21)}, {cell(self.e22)}]]"
+        e11, e12, e21, e22 = map(canonical_text, (self.e11, self.e12, self.e21, self.e22))
+        return f"[[{e11}, {e12}], [{e21}, {e22}]]"
 
 
 def matrix_pow(m: PolyMatrix2, n: int) -> PolyMatrix2:
     """m**n by binary squaring; n = 0 gives the identity."""
     if n < 0:
         raise ValueError(f"matrix power must be nonnegative, got {n}")
-    result = m.identity_like()
-    base = m
-    e = n
-    while e:
-        if e & 1:
-            result = result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
+    return binary_power(m, n, m.identity_like())
 
 
 def matrix_A() -> PolyMatrix2:
@@ -181,6 +175,4 @@ def alpha_power(n: int) -> QuadExtElem:
 
 def beta_power(n: int) -> QuadExtElem:
     """beta^n written on the (L, F) basis: (L_n - D*F_n) / 2."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    return QuadExtElem(luc(n) * _HALF, -(fib(n) * _HALF))
+    return alpha_power(n).conjugate()

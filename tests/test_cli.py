@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fibluc.cli import main
+from fibluc.idlang import MAX_DEPTH
 from oracles import int_seq
 
 
@@ -141,6 +142,51 @@ def test_verify_combined_range_flag(capsys):
 def test_verify_bad_range(capsys):
     code, _, err = run_cli(capsys, "verify", "F[n]=F[n]", "--range", "n=0-3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("n=5..2", "empty range 'n=5..2'"),
+        ("m=0..3", "unknown range name 'm'"),
+        ("n=0..3,m=0..3", "unknown range name 'm'"),
+    ],
+)
+def test_verify_rejects_empty_or_unknown_ranges(capsys, spec, message):
+    code, out, err = run_cli(capsys, "verify", "F[n]=F[n]", "--range", spec)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def _groups(depth):
+    """x inside depth - 1 parentheses: depth levels, counting the outer one."""
+    return "(" * (depth - 1) + "x" + ")" * (depth - 1)
+
+
+def _chain(depth):
+    """A sum of depth x's, whose left-deep tree is depth levels tall."""
+    return "+".join(["x"] * depth)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda depth: ["verify", f"{_groups(depth)} = x"],
+        lambda depth: ["verify", f"{_chain(depth)} = {depth}*x"],
+        lambda depth: ["eval", "F", "2", "--xsub", _chain(depth)],
+    ],
+    ids=["verify-parentheses", "verify-chain", "eval-xsub-chain"],
+)
+def test_nesting_deeper_than_max_depth_is_a_parse_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv(MAX_DEPTH))
+    assert (code, err) == (0, "")
+    for depth in (MAX_DEPTH + 1, 3000):
+        code, out, err = run_cli(capsys, *argv(depth))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error at 1:")
+        assert f"deeper than {MAX_DEPTH} levels" in err
 
 
 def test_verify_json_failure_records_carry_sides(capsys):

@@ -106,6 +106,16 @@ def test_corrupted_case_fails_with_rendered_sides():
     assert first.lhs != first.rhs
 
 
+def test_tuple_side_against_scalar_side_fails_its_cell():
+    good = catalog_by_id()["EQ11"]
+    bad = replace(good, lhs=lambda n: (fib(n), luc(n)))
+    cell = check_case(bad, 2)
+    assert not cell.passed
+    assert (cell.lhs, cell.rhs) == ("(x; x^2 + 2*y)", str(good.rhs(2)))
+    shorter = replace(good, lhs=lambda n: (fib(n), luc(n)), rhs=lambda n: (fib(n),))
+    assert not check_case(shorter, 2).passed
+
+
 def test_mutation_sensitivity():
     # flipping the sign of the whole right side must break every spot-checked case
     cases = catalog_by_id()

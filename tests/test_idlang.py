@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from fibluc import (
+    BivarPoly,
     DomainError,
     ParseError,
     X,
@@ -176,6 +177,17 @@ def test_evaluate_negative_subscript_raises_domain_error():
 def test_evaluate_negative_exponent_raises_domain_error():
     with pytest.raises(DomainError):
         evaluate(parse_expression("y^(n-2)"), {"n": 0})
+
+
+def test_evaluate_lifts_integer_results_to_polynomials():
+    value = evaluate(parse_expression("2^3 - binom(4, 2)"), {})
+    assert isinstance(value, BivarPoly)
+    assert value == 2
+
+
+def test_index_position_rejects_ring_values():
+    with pytest.raises(ValueError, match="not an index expression: x"):
+        evaluate(SeqApp("F", VarX()), {})
 
 
 def test_evaluate_unbound_meta_variable():

@@ -193,6 +193,22 @@ def test_embedding_powers_match(p, q):
     assert (QuadExtElem(p) + QuadExtElem(q)) ** 2 == (p + q) ** 2
 
 
+@pytest.mark.parametrize(
+    "value, number",
+    [
+        (BivarPoly.const(3), 3),
+        (BivarPoly.const(Fraction(-5, 3)), Fraction(-5, 3)),
+        (ZERO, 0),
+        (QuadExtElem(3), 3),
+    ],
+    ids=["int", "fraction", "zero", "extension"],
+)
+def test_constants_hash_like_the_number_they_equal(value, number):
+    assert value == number
+    assert hash(value) == hash(number)
+    assert len({value, number}) == 1
+
+
 # -- ring axioms -----------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Generators, companion matrices, and the power-entry closed form."""
 
 from fractions import Fraction
+from itertools import islice
 
 import hypothesis.strategies as st
 import pytest
@@ -29,7 +30,9 @@ from fibluc import (
     matrix_pow,
     power_entry_factor,
     seq,
+    seq_terms,
 )
+from fibluc._seqcache import fib_poly, luc_poly
 from oracles import int_seq, poly_fib, poly_luc
 
 
@@ -53,6 +56,29 @@ def test_symbolic_terms_match_oracle():
     for n in range(0, 25):
         assert fib(n).terms == poly_fib(n)
         assert luc(n).terms == poly_luc(n)
+
+
+def test_cached_tables_match_oracle():
+    for n in range(0, 65):
+        assert fib_poly(n).terms == poly_fib(n)
+        assert luc_poly(n).terms == poly_luc(n)
+
+
+def test_terms_are_computed_only_when_requested():
+    steps = []
+
+    class CountingInt(int):
+        """An int that records each recurrence step it is the x argument of."""
+
+        def __mul__(self, other):
+            steps.append(other)
+            return int(self) * other
+
+    assert seq(SeqKind.FIB, 6, CountingInt(1), 1) == 8
+    assert len(steps) == 5  # u_2 .. u_6
+    steps.clear()
+    assert list(islice(seq_terms(SeqKind.LUC, CountingInt(1), 1), 3)) == [2, 1, 3]
+    assert len(steps) == 1  # u_2 only, not u_3
 
 
 def test_composed_argument_generator():
