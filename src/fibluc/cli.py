@@ -14,9 +14,9 @@ from fractions import Fraction
 from itertools import islice
 
 from . import idlang
-from .identities import catalog_by_id, run_catalog
+from .identities import catalog_by_id, check_grid_bounds, run_catalog
 from .poly import canonical_text
-from .report import CheckReport, DomainError
+from .report import CheckReport, DomainError, select_ids
 from .sequences import SeqKind, seq, seq_terms
 
 
@@ -156,16 +156,10 @@ def _emit_report(report: CheckReport, as_json: bool) -> int:
         total = len(report.cells)
         if failures:
             first = failures[0]
-            where = ", ".join(
-                part
-                for part in (
-                    f"n={first.n}" if first.n is not None else "",
-                    f"k={first.k}" if first.k is not None else "",
-                )
-                if part
-            )
+            where = [f"{name}={i}" for name, i in (("n", first.n), ("k", first.k)) if i is not None]
+            at = f" at {', '.join(where)}" if where else ""
             print(f"{len(failures)} of {total} cells FAILED")
-            print(f"first counterexample: {first.case_id} at {where}: {first.lhs!r} vs {first.rhs!r}")
+            print(f"first counterexample: {first.case_id}{at}: {first.lhs!r} vs {first.rhs!r}")
         else:
             print(f"all {total} cells pass")
     return 0 if report.all_passed else 1
@@ -177,15 +171,9 @@ def _cmd_catalog(args) -> int:
 
 
 def _corpus_report(args) -> CheckReport:
-    path = args.corpus if args.corpus else None
-    entries = idlang.load_corpus(path)
-    wanted = _parse_ids(args.ids)
-    if wanted is not None:
-        known = {entry.case_id for entry in entries}
-        unknown = [i for i in wanted if i not in known]
-        if unknown:
-            raise _UsageError(f"unknown corpus id(s): {', '.join(unknown)}")
-        entries = [entry for entry in entries if entry.case_id in wanted]
+    check_grid_bounds(args.n_max, args.k_max)
+    entries = idlang.load_corpus(args.corpus or None)
+    entries = select_ids(entries, _parse_ids(args.ids), "corpus")
     cases = catalog_by_id()
     reports = []
     for entry in entries:

@@ -12,13 +12,12 @@ per-case minima keep all subscripts nonnegative.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
 from ._seqcache import fib_poly, luc_poly
-from .poly import BivarPoly, DELTA, DISCRIMINANT, QuadExtElem, X, Y, ZERO, canonical_text
-from .report import CellResult, CheckReport, DomainError
+from .poly import BivarPoly, DELTA, DISCRIMINANT, QuadExtElem, X, Y, ZERO
+from .report import CellResult, CheckReport, DomainError, check_cell, select_ids
 from .sequences import (
     PolyMatrix2,
     SeqKind,
@@ -404,39 +403,23 @@ def catalog_by_id() -> dict[str, IdentityCase]:
 # -- checking ------------------------------------------------------------------
 
 
-def render_side(value) -> str:
-    """Human-readable form of an evaluator result for failure reports."""
-    if isinstance(value, tuple):
-        return "(" + "; ".join(render_side(part) for part in value) + ")"
-    if isinstance(value, PolyMatrix2):
-        return str(value)
-    return canonical_text(value)
-
-
 def check_case(case: IdentityCase, n: int, k: int | None = None) -> CellResult:
     """Evaluate one case at one grid point; k is ignored for unary cases."""
     if n < case.n_min:
         raise DomainError(f"{case.case_id}: n={n} is below the case minimum {case.n_min}")
-    if case.is_binary:
-        if k is None:
-            raise DomainError(f"{case.case_id} needs a k index")
-        if k < case.k_min:
-            raise DomainError(f"{case.case_id}: k={k} is below the case minimum {case.k_min}")
-        args = (n, k)
-        k_out: int | None = k
-    else:
-        args = (n,)
-        k_out = None
-    start = time.perf_counter()
-    left = case.lhs(*args)
-    right = case.rhs(*args)
-    passed = left == right  # tuples compare elementwise and never equal a scalar
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if passed:
-        return CellResult(case.case_id, n, k_out, True, elapsed_ms)
-    return CellResult(
-        case.case_id, n, k_out, False, elapsed_ms, render_side(left), render_side(right)
-    )
+    if not case.is_binary:
+        return check_cell(case.case_id, n, None, lambda: (case.lhs(n), case.rhs(n)))
+    if k is None:
+        raise DomainError(f"{case.case_id} needs a k index")
+    if k < case.k_min:
+        raise DomainError(f"{case.case_id}: k={k} is below the case minimum {case.k_min}")
+    return check_cell(case.case_id, n, k, lambda: (case.lhs(n, k), case.rhs(n, k)))
+
+
+def check_grid_bounds(n_max: int, k_max: int) -> None:
+    """The grid upper bounds every catalog or corpus run needs."""
+    if n_max < 1 or k_max < 1:
+        raise ValueError("n_max and k_max must be at least 1")
 
 
 def run_catalog(
@@ -448,18 +431,11 @@ def run_catalog(
     """Check the selected cases at every admissible grid point.
 
     The grid for a case is n in [n_min, n_max] crossed with k in
-    [k_min, k_max] for binary cases.  The report is ordered by (id, n, k)
-    regardless of evaluation order.
+    [k_min, k_max] for binary cases.  Cells come in the order checked: the
+    cases' own order (catalog order by default), then n, then k.
     """
-    if n_max < 1 or k_max < 1:
-        raise ValueError("n_max and k_max must be at least 1")
-    selected = list(build_catalog()) if cases is None else list(cases)
-    if ids is not None:
-        by_id = {case.case_id: case for case in selected}
-        unknown = [i for i in ids if i not in by_id]
-        if unknown:
-            raise ValueError(f"unknown identity id(s): {', '.join(unknown)}")
-        selected = [by_id[i] for i in ids]
+    check_grid_bounds(n_max, k_max)
+    selected = select_ids(build_catalog() if cases is None else cases, ids, "identity")
     cells: list[CellResult] = []
     for case in selected:
         for n in range(case.n_min, n_max + 1):

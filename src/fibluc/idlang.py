@@ -28,13 +28,13 @@ Parsing and evaluation are pure; ASTs are immutable.
 from __future__ import annotations
 
 import importlib.resources
-import time
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 from ._seqcache import fib_poly, luc_poly
-from .poly import BivarPoly, DELTA, X, Y, ZERO, canonical_text
-from .report import CellResult, CheckReport, DomainError
+from .poly import BivarPoly, DELTA, X, Y, ZERO
+from .report import CheckReport, DomainError, check_cell
 from .sequences import SeqKind, binomial, seq
 
 _RESERVED = {"x", "y", "D", "F", "L", "binom", "sum"}
@@ -570,33 +570,12 @@ def check(ast: Eq, ranges: Mapping[str, tuple[int, int]], case_id: str = "user")
         low, high = ranges[name]
         return list(range(low, high + 1))
 
-    cells: list[CellResult] = []
-    for n in axis("n"):
-        for k in axis("k"):
-            binding = {}
-            if n is not None:
-                binding["n"] = n
-            if k is not None:
-                binding["k"] = k
-            start = time.perf_counter()
-            try:
-                left = _eval_ring(ast.lhs, binding)
-                right = _eval_ring(ast.rhs, binding)
-            except DomainError as exc:
-                elapsed = (time.perf_counter() - start) * 1000.0
-                cells.append(
-                    CellResult(case_id, n, k, False, elapsed, f"domain error: {exc}", None)
-                )
-                continue
-            elapsed = (time.perf_counter() - start) * 1000.0
-            if left == right:
-                cells.append(CellResult(case_id, n, k, True, elapsed))
-            else:
-                cells.append(
-                    CellResult(
-                        case_id, n, k, False, elapsed, canonical_text(left), canonical_text(right)
-                    )
-                )
+    cells = []
+    for n, k in itertools.product(axis("n"), axis("k")):
+        env = {name: value for name, value in (("n", n), ("k", k)) if value is not None}
+        cells.append(
+            check_cell(case_id, n, k, lambda: (_eval_ring(ast.lhs, env), _eval_ring(ast.rhs, env)))
+        )
     return CheckReport.from_cells(cells)
 
 
@@ -709,5 +688,10 @@ def load_corpus(path=None) -> list[CorpusEntry]:
             continue
         if current_id is None:
             raise ValueError(f"corpus line {line_no} has no preceding '# id:' comment")
-        entries.append(CorpusEntry(current_id, line, line_no, parse(line)))
+        try:
+            ast = parse(line)
+        except ParseError as exc:  # report the position in the file, not in the stripped line
+            indent = len(raw) - len(raw.lstrip())
+            raise ParseError(exc.message, line_no, exc.col + indent) from None
+        entries.append(CorpusEntry(current_id, line, line_no, ast))
     return entries

@@ -1,12 +1,13 @@
 """Check reports shared by the identity catalog and the identity language.
 
-A report is a flat, deterministically ordered list of grid cells; each cell
-records which case ran at which indices, whether both sides agreed, and the
-rendered sides when they did not.
+A report is a flat list of grid cells in the order they were checked; each
+cell records which case ran at which indices, whether both sides agreed, and
+the rendered sides when they did not.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 
@@ -25,12 +26,44 @@ class CellResult:
     rhs: str | None = None
 
 
-def _cell_key(cell: CellResult) -> tuple:
-    return (
-        cell.case_id,
-        -1 if cell.n is None else cell.n,
-        -1 if cell.k is None else cell.k,
-    )
+def render_side(value) -> str | None:
+    """Failure-report form of one side: tuple parts joined by '; ', else ``str``."""
+    if isinstance(value, tuple):
+        return "(" + "; ".join(render_side(part) for part in value) + ")"
+    return None if value is None else str(value)
+
+
+def check_cell(case_id: str, n: int | None, k: int | None, sides) -> CellResult:
+    """Check one grid cell: ``sides()`` returns (lhs, rhs), compared exactly.
+
+    The cell's time covers both sides and the compare.  A ``DomainError``
+    while evaluating fails the cell with the error as its lhs.
+    """
+    start = time.perf_counter()
+    try:
+        left, right = sides()
+    except DomainError as exc:
+        left, right, passed = f"domain error: {exc}", None, False
+    else:
+        passed = left == right  # tuples compare elementwise and never equal a scalar
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    if passed:
+        return CellResult(case_id, n, k, True, elapsed_ms)
+    return CellResult(case_id, n, k, False, elapsed_ms, render_side(left), render_side(right))
+
+
+def select_ids(items: list, ids: list[str] | None, what: str) -> list:
+    """The items whose ``case_id`` is in ``ids``, in the items' own order.
+
+    ``ids=None`` keeps every item; an id no item has is a ``ValueError``.
+    """
+    if ids is None:
+        return list(items)
+    known = {item.case_id for item in items}
+    unknown = [i for i in ids if i not in known]
+    if unknown:
+        raise ValueError(f"unknown {what} id(s): {', '.join(unknown)}")
+    return [item for item in items if item.case_id in ids]
 
 
 @dataclass(frozen=True)
@@ -39,14 +72,11 @@ class CheckReport:
 
     @classmethod
     def from_cells(cls, cells) -> CheckReport:
-        return cls(tuple(sorted(cells, key=_cell_key)))
+        return cls(tuple(cells))
 
     @classmethod
     def combine(cls, reports) -> CheckReport:
-        merged: list[CellResult] = []
-        for report in reports:
-            merged.extend(report.cells)
-        return cls(tuple(merged))
+        return cls(tuple(cell for report in reports for cell in report.cells))
 
     @property
     def all_passed(self) -> bool:

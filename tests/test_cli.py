@@ -104,6 +104,12 @@ def test_catalog_json_schema_and_verdicts_match_text(capsys):
     assert out_t.count("pass") >= len(records)
 
 
+def test_catalog_duplicate_ids_check_each_cell_once(capsys):
+    code, out, _ = run_cli(capsys, "catalog", "--ids", "EQ20,EQ20", "--n-max", "3", "--json")
+    assert code == 0
+    assert [(r["id"], r["n"]) for r in json.loads(out)] == [("EQ20", 1), ("EQ20", 2), ("EQ20", 3)]
+
+
 # -- verify --------------------------------------------------------------------
 
 
@@ -118,6 +124,12 @@ def test_verify_counterexample(capsys):
     assert code == 1
     assert "counterexample" in out
     assert "'0' vs '2'" in out
+
+
+def test_verify_ground_identity_failure_names_no_indices(capsys):
+    code, out, _ = run_cli(capsys, "verify", "D^2 = x^2-4*y")
+    assert code == 1
+    assert "first counterexample: user: '(x^2 + 4*y) + (0)*D' vs 'x^2 - 4*y'" in out
 
 
 def test_verify_doubling(capsys):
@@ -229,6 +241,40 @@ def test_verify_corpus_line_without_id(tmp_path, capsys):
     bad.write_text("F[n] = F[n]\n")
     code, _, err = run_cli(capsys, "verify", "--corpus", str(bad))
     assert code == 2
+
+
+def test_verify_whole_shipped_corpus_small_grid(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--corpus", "--n-max", "6", "--k-max", "3")
+    assert code == 0
+    assert "all 388 cells pass" in out
+
+
+def test_verify_corpus_keeps_file_order(capsys):
+    # EQ10 has two corpus lines; each keeps its own n run instead of interleaving
+    code, out, _ = run_cli(capsys, "verify", "--corpus", "--ids", "EQ10", "--n-max", "3", "--json")
+    assert code == 0
+    assert [(r["id"], r["n"]) for r in json.loads(out)] == [("EQ10", n) for n in (1, 2, 3) * 2]
+
+
+@pytest.mark.parametrize("bound", [("--n-max", "-1"), ("--n-max", "0"), ("--k-max", "0")])
+def test_verify_corpus_rejects_empty_grid(capsys, bound):
+    code, out, err = run_cli(capsys, "verify", "--corpus", *bound)
+    assert code == 2
+    assert out == ""
+    assert "must be at least 1" in err
+
+
+def test_verify_corpus_parse_error_reports_file_position(tmp_path, capsys):
+    corpus = tmp_path / "bad.txt"
+    good = "y*F[n-1] + F[n+1] = L[n]"
+    corpus.write_text(f"# id: EQ20\n{good}\n\n# id: EQ15\nL[n]*L[n+2] = $\n")
+    code, _, err = run_cli(capsys, "verify", "--corpus", str(corpus))
+    assert code == 2
+    assert "parse error at 5:15: unexpected character '$'" in err
+    corpus.write_text(f"# id: EQ20\n{good}\n    y*F[n-1] + F[n+1 = L[n]\n")
+    code, _, err = run_cli(capsys, "verify", "--corpus", str(corpus))
+    assert code == 2
+    assert "parse error at 3:22: expected ']', found '='" in err
 
 
 def test_eval_negative_index(capsys):

@@ -116,6 +116,15 @@ def test_tuple_side_against_scalar_side_fails_its_cell():
     assert not check_case(shorter, 2).passed
 
 
+def test_domain_error_in_a_side_fails_its_cell():
+    def out_of_domain(n):
+        raise DomainError(f"no value at n={n}")
+
+    cell = check_case(replace(catalog_by_id()["EQ20"], lhs=out_of_domain), 2)
+    assert not cell.passed
+    assert (cell.lhs, cell.rhs) == ("domain error: no value at n=2", None)
+
+
 def test_mutation_sensitivity():
     # flipping the sign of the whole right side must break every spot-checked case
     cases = catalog_by_id()
