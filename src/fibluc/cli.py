@@ -16,8 +16,11 @@ from itertools import islice
 from . import idlang
 from .identities import catalog_by_id, check_grid_bounds, run_catalog
 from .poly import canonical_text
-from .report import CheckReport, DomainError, select_ids
+from .report import CheckReport, select_ids
 from .sequences import SeqKind, seq, seq_terms
+
+#: Default grid upper bounds of ``catalog`` and ``verify --corpus``.
+_N_MAX, _K_MAX = 10, 6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--at", metavar="X0,Y0", help="evaluate numerically at a rational point")
 
     p_cat = sub.add_parser("catalog", help="verify the built-in identity catalog over an index grid")
-    p_cat.add_argument("--n-max", type=int, default=10)
-    p_cat.add_argument("--k-max", type=int, default=6)
+    p_cat.add_argument("--n-max", type=int, default=_N_MAX)
+    p_cat.add_argument("--k-max", type=int, default=_K_MAX)
     p_cat.add_argument("--ids", metavar="EQnn,...", help="comma-separated case ids to run")
     p_cat.add_argument("--json", action="store_true", help="structured output, one record per cell")
 
@@ -59,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify the shipped identity corpus (or the corpus file at PATH)",
     )
     p_ver.add_argument("--ids", metavar="EQnn,...", help="restrict corpus verification to these ids")
-    p_ver.add_argument("--n-max", type=int, default=10, help="corpus grid upper bound for n")
-    p_ver.add_argument("--k-max", type=int, default=6, help="corpus grid upper bound for k")
+    p_ver.add_argument("--n-max", type=int, help=f"corpus grid upper bound for n (default {_N_MAX})")
+    p_ver.add_argument("--k-max", type=int, help=f"corpus grid upper bound for k (default {_K_MAX})")
     p_ver.add_argument("--json", action="store_true", help="structured output, one record per cell")
 
     p_seq = sub.add_parser("sequence", help="emit the numeric sequence at a rational point")
@@ -72,15 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"not a rational number: {text!r} ({exc})") from None
+        raise ValueError(f"not a rational number: {text!r} ({exc})") from None
 
 
 def _parse_ranges(args: list[str]) -> dict[str, tuple[int, int]]:
@@ -91,19 +90,19 @@ def _parse_ranges(args: list[str]) -> dict[str, tuple[int, int]]:
             if not part:
                 continue
             if "=" not in part or ".." not in part:
-                raise _UsageError(f"bad range {part!r}, expected name=low..high")
+                raise ValueError(f"bad range {part!r}, expected name=low..high")
             name, _, span = part.partition("=")
             low_text, _, high_text = span.partition("..")
             name = name.strip()
             if name not in idlang.META_VARS:
                 known = ", ".join(sorted(idlang.META_VARS))
-                raise _UsageError(f"unknown range name {name!r}, expected one of: {known}")
+                raise ValueError(f"unknown range name {name!r}, expected one of: {known}")
             try:
                 low, high = int(low_text), int(high_text)
             except ValueError:
-                raise _UsageError(f"bad range bounds in {part!r}") from None
+                raise ValueError(f"bad range bounds in {part!r}") from None
             if low > high:
-                raise _UsageError(f"empty range {part!r}: low bound above high bound")
+                raise ValueError(f"empty range {part!r}: low bound above high bound")
             ranges[name] = (low, high)
     return ranges
 
@@ -111,7 +110,10 @@ def _parse_ranges(args: list[str]) -> dict[str, tuple[int, int]]:
 def _parse_ids(text: str | None) -> list[str] | None:
     if text is None:
         return None
-    return [item.strip() for item in text.split(",") if item.strip()]
+    ids = [item.strip() for item in text.split(",") if item.strip()]
+    if not ids:
+        raise ValueError(f"--ids {text!r} names no id")
+    return ids
 
 
 def _substitution(expr_text: str | None, default):
@@ -120,7 +122,7 @@ def _substitution(expr_text: str | None, default):
     node = idlang.parse_expression(expr_text)
     free = idlang.free_meta_vars(node)
     if free:
-        raise _UsageError(
+        raise ValueError(
             f"substitution {expr_text!r} has free meta-variable(s): {', '.join(sorted(free))}"
         )
     return idlang.evaluate(node, {})
@@ -129,13 +131,13 @@ def _substitution(expr_text: str | None, default):
 def _cmd_eval(args) -> int:
     kind = SeqKind(args.kind)
     if args.n < 0:
-        raise _UsageError("n must be nonnegative")
+        raise ValueError("n must be nonnegative")
     if args.at is not None:
         if args.xsub is not None or args.ysub is not None:
-            raise _UsageError("--at cannot be combined with --xsub/--ysub")
+            raise ValueError("--at cannot be combined with --xsub/--ysub")
         x_text, sep, y_text = args.at.partition(",")
         if not sep:
-            raise _UsageError("--at expects two rationals, e.g. --at 1,1")
+            raise ValueError("--at expects two rationals, e.g. --at 1,1")
         value = seq(kind, args.n, _parse_rational(x_text), _parse_rational(y_text))
         print(value)
         return 0
@@ -171,7 +173,9 @@ def _cmd_catalog(args) -> int:
 
 
 def _corpus_report(args) -> CheckReport:
-    check_grid_bounds(args.n_max, args.k_max)
+    n_max = _N_MAX if args.n_max is None else args.n_max
+    k_max = _K_MAX if args.k_max is None else args.k_max
+    check_grid_bounds(n_max, k_max)
     entries = idlang.load_corpus(args.corpus or None)
     entries = select_ids(entries, _parse_ids(args.ids), "corpus")
     cases = catalog_by_id()
@@ -180,7 +184,7 @@ def _corpus_report(args) -> CheckReport:
         case = cases.get(entry.case_id)
         n_min = case.n_min if case else 0
         k_min = case.k_min if case and case.is_binary else 1
-        ranges = {"n": (n_min, args.n_max), "k": (k_min, args.k_max)}
+        ranges = {"n": (n_min, n_max), "k": (k_min, k_max)}
         reports.append(idlang.check(entry.ast, ranges, case_id=entry.case_id))
     return CheckReport.combine(reports)
 
@@ -188,10 +192,19 @@ def _corpus_report(args) -> CheckReport:
 def _cmd_verify(args) -> int:
     if args.corpus is not None:
         if args.identity is not None:
-            raise _UsageError("give either an identity or --corpus, not both")
+            raise ValueError("give either an identity or --corpus, not both")
+        if args.ranges:
+            raise ValueError("--range applies to an identity, not to --corpus")
         return _emit_report(_corpus_report(args), args.json)
     if args.identity is None:
-        raise _UsageError("an identity (or --corpus) is required")
+        raise ValueError("an identity (or --corpus) is required")
+    corpus_flags = [
+        flag
+        for flag, value in (("--ids", args.ids), ("--n-max", args.n_max), ("--k-max", args.k_max))
+        if value is not None
+    ]
+    if corpus_flags:
+        raise ValueError(f"{', '.join(corpus_flags)}: only valid with --corpus")
     ast = idlang.parse(args.identity)
     ranges = {"n": (0, 10), "k": (1, 6)}
     ranges.update(_parse_ranges(args.ranges))
@@ -201,7 +214,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sequence(args) -> int:
     if args.count < 1:
-        raise _UsageError("--count must be at least 1")
+        raise ValueError("--count must be at least 1")
     kind = SeqKind(args.kind)
     x0 = _parse_rational(args.x)
     y0 = _parse_rational(args.y)
@@ -224,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     except idlang.ParseError as exc:
         print(f"parse error at {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, DomainError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -58,19 +58,14 @@ class IdentityCase:
 # -- shared building blocks -------------------------------------------------
 
 
-def _comp_y(k: int) -> BivarPoly:
-    """(-1)^(k+1) * y^k, the y argument of the (L_k, .) composition."""
-    sign = 1 if k % 2 else -1
-    return sign * Y**k
-
-
 def _delta_fib(k: int) -> QuadExtElem:
     """D * F_k, the extension-ring x argument of the square-root substitutions."""
     return QuadExtElem(ZERO, fib_poly(k))
 
 
 def _neg_y_pow(e: int) -> BivarPoly:
-    """(-y)^e; also the y argument paired with the D*F_k substitution."""
+    """(-y)^e; the y argument paired with the D*F_k substitution, and, negated,
+    the y argument (-1)^(k+1) y^k of the (L_k, .) composition."""
     return (-Y) ** e
 
 
@@ -216,7 +211,7 @@ def build_catalog() -> list[IdentityCase]:
             "EQ11",
             "L(n)^2 + (-1)^(n+1) 4 y^n = (x^2+4y) F(n)^2",
             0,
-            lambda n: luc_poly(n) ** 2 + (4 if n % 2 else -4) * Y**n,
+            lambda n: luc_poly(n) ** 2 - 4 * _neg_y_pow(n),
             lambda n: DISCRIMINANT * fib_poly(n) ** 2,
         ),
         binary(
@@ -224,7 +219,7 @@ def build_catalog() -> list[IdentityCase]:
             "F(n)(L(k), (-1)^(k+1) y^k) F(k) = F(nk)",
             0,
             1,
-            lambda n, k: seq(SeqKind.FIB, n, luc_poly(k), _comp_y(k)) * fib_poly(k),
+            lambda n, k: seq(SeqKind.FIB, n, luc_poly(k), -_neg_y_pow(k)) * fib_poly(k),
             lambda n, k: fib_poly(n * k),
         ),
         binary(
@@ -232,7 +227,7 @@ def build_catalog() -> list[IdentityCase]:
             "L(n)(L(k), (-1)^(k+1) y^k) = L(nk)",
             0,
             1,
-            lambda n, k: seq(SeqKind.LUC, n, luc_poly(k), _comp_y(k)),
+            lambda n, k: seq(SeqKind.LUC, n, luc_poly(k), -_neg_y_pow(k)),
             lambda n, k: luc_poly(n * k),
         ),
         unary(
@@ -266,7 +261,7 @@ def build_catalog() -> list[IdentityCase]:
             "EQ17",
             "L(n)^2 + 2 (-1)^(n+1) y^n = L(2n)",
             0,
-            lambda n: luc_poly(n) ** 2 + (2 if n % 2 else -2) * Y**n,
+            lambda n: luc_poly(n) ** 2 - 2 * _neg_y_pow(n),
             lambda n: luc_poly(2 * n),
         ),
         binary(
@@ -274,7 +269,7 @@ def build_catalog() -> list[IdentityCase]:
             "F(2n)(L(k), (-1)^(k+1) y^k) = L(k) F(n)(L(2k), -y^(2k))",
             0,
             1,
-            lambda n, k: seq(SeqKind.FIB, 2 * n, luc_poly(k), _comp_y(k)),
+            lambda n, k: seq(SeqKind.FIB, 2 * n, luc_poly(k), -_neg_y_pow(k)),
             lambda n, k: luc_poly(k) * seq(SeqKind.FIB, n, luc_poly(2 * k), -(Y ** (2 * k))),
         ),
         binary(
@@ -307,7 +302,7 @@ def build_catalog() -> list[IdentityCase]:
             "(-1)^(k+1) y^k F(k(n-1)) + F(k(n+1)) = F(k) L(nk)",
             1,
             1,
-            lambda n, k: _comp_y(k) * fib_poly(k * (n - 1)) + fib_poly(k * (n + 1)),
+            lambda n, k: -_neg_y_pow(k) * fib_poly(k * (n - 1)) + fib_poly(k * (n + 1)),
             lambda n, k: fib_poly(k) * luc_poly(n * k),
         ),
         unary(
@@ -323,9 +318,9 @@ def build_catalog() -> list[IdentityCase]:
             "L(2k) L(k(2n+2)) + (-1)^(k+1) y^k L(k) L(k(2n+1))",
             0,
             1,
-            lambda n, k: luc_poly(k * (n + 2)) ** 2 + _comp_y(k) * luc_poly(k * (n + 1)) ** 2,
+            lambda n, k: luc_poly(k * (n + 2)) ** 2 - _neg_y_pow(k) * luc_poly(k * (n + 1)) ** 2,
             lambda n, k: luc_poly(2 * k) * luc_poly(k * (2 * n + 2))
-            + _comp_y(k) * luc_poly(k) * luc_poly(k * (2 * n + 1)),
+            - _neg_y_pow(k) * luc_poly(k) * luc_poly(k * (2 * n + 1)),
         ),
         binary(
             "EQ24",

@@ -554,8 +554,10 @@ def free_meta_vars(node: Node) -> set[str]:
 def check(ast: Eq, ranges: Mapping[str, tuple[int, int]], case_id: str = "user") -> CheckReport:
     """Check an identity at every grid point of the given inclusive ranges.
 
-    Equality is exact componentwise extension-ring equality.  Evaluation
-    domain errors count as failures at the offending binding.
+    Equality is exact componentwise extension-ring equality.  A negative
+    subscript, exponent or binomial upper index at some grid point is outside
+    the identity's domain, not a counterexample: it raises ``DomainError``,
+    naming the expression and the binding.
     """
     if not isinstance(ast, Eq):
         raise ValueError("expected an identity of the form lhs = rhs")

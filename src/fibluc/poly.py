@@ -173,26 +173,19 @@ class BivarPoly:
         """Image under the ring homomorphism x -> x_value, y -> y_value.
 
         The arguments may be polynomials, extension elements, or plain
-        rationals; the result lives in whatever ring they generate.
+        rationals; the result lives in whatever ring they generate, also for
+        the zero polynomial.
         """
-        if not self._terms:
-            return ZERO
-        x_powers = _power_table(x_value, max(i for i, _ in self._terms))
-        y_powers = _power_table(y_value, max(j for _, j in self._terms))
-        acc = None
+        x_powers = _power_table(x_value, max((i for i, _ in self._terms), default=0))
+        y_powers = _power_table(y_value, max((j for _, j in self._terms), default=0))
+        total = x_powers[0] * y_powers[0] * 0
         for (i, j), coeff in self._terms.items():
-            term = x_powers[i] * y_powers[j] * coeff
-            acc = term if acc is None else acc + term
-        return acc
+            total = total + x_powers[i] * y_powers[j] * coeff
+        return total
 
     def eval_at(self, x0: _CoeffLike, y0: _CoeffLike) -> Fraction:
         """Exact rational value at the point (x0, y0)."""
-        x0 = Fraction(x0)
-        y0 = Fraction(y0)
-        total = Fraction(0)
-        for (i, j), coeff in self._terms.items():
-            total += coeff * x0**i * y0**j
-        return total
+        return self.substitute(Fraction(x0), Fraction(y0))
 
     # -- rendering ----------------------------------------------------------
 

@@ -26,26 +26,22 @@ class CellResult:
     rhs: str | None = None
 
 
-def render_side(value) -> str | None:
+def render_side(value) -> str:
     """Failure-report form of one side: tuple parts joined by '; ', else ``str``."""
     if isinstance(value, tuple):
         return "(" + "; ".join(render_side(part) for part in value) + ")"
-    return None if value is None else str(value)
+    return str(value)
 
 
 def check_cell(case_id: str, n: int | None, k: int | None, sides) -> CellResult:
     """Check one grid cell: ``sides()`` returns (lhs, rhs), compared exactly.
 
-    The cell's time covers both sides and the compare.  A ``DomainError``
-    while evaluating fails the cell with the error as its lhs.
+    The cell's time covers both sides and the compare.  Errors raised while
+    evaluating, such as a ``DomainError``, propagate to the caller.
     """
     start = time.perf_counter()
-    try:
-        left, right = sides()
-    except DomainError as exc:
-        left, right, passed = f"domain error: {exc}", None, False
-    else:
-        passed = left == right  # tuples compare elementwise and never equal a scalar
+    left, right = sides()
+    passed = left == right  # tuples compare elementwise and never equal a scalar
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if passed:
         return CellResult(case_id, n, k, True, elapsed_ms)
@@ -96,10 +92,8 @@ class CheckReport:
                 f"{cell.case_id:<6} n={n_text:<4} k={k_text:<3} {status:<4} {cell.elapsed_ms:9.3f}ms"
             )
             if not cell.passed:
-                if cell.lhs is not None:
-                    lines.append(f"    lhs: {cell.lhs}")
-                if cell.rhs is not None:
-                    lines.append(f"    rhs: {cell.rhs}")
+                lines.append(f"    lhs: {cell.lhs}")
+                lines.append(f"    rhs: {cell.rhs}")
         return "\n".join(lines)
 
     def to_records(self) -> list[dict]:

@@ -1,8 +1,12 @@
 """End-to-end CLI behavior: outputs, exit codes, structured reports."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from fibluc.cli import main
 from fibluc.idlang import MAX_DEPTH
@@ -201,6 +205,40 @@ def test_nesting_deeper_than_max_depth_is_a_parse_error(capsys, argv):
         assert f"deeper than {MAX_DEPTH} levels" in err
 
 
+@pytest.mark.parametrize(
+    "argv, binding",
+    [
+        (["verify", "F[n]=F[n]", "--range", "n=-3..-1"], "{n=-3}"),
+        (["verify", "y*F[n-1]+F[n+1]=L[n]"], "{n=0}"),
+    ],
+)
+def test_verify_domain_error_exits_2(capsys, argv, binding):
+    # a negative subscript is outside the identity's domain, not a counterexample
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: negative sequence index ")
+    assert err.rstrip().endswith(f" at {binding}")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["catalog", "--ids", ","], "--ids ',' names no id"),
+        (["catalog", "--ids", ""], "--ids '' names no id"),
+        (["verify", "--corpus", "--ids", ","], "--ids ',' names no id"),
+        (["verify", "--corpus", "--ids", ""], "--ids '' names no id"),
+        (["verify", "--corpus", "--range", "n=1..2", "--ids", "EQ20"], "--range applies"),
+        (["verify", "F[n]=F[n]", "--ids", "EQ20"], "--ids: only valid with --corpus"),
+        (["verify", "F[n]=F[n]", "--n-max", "3"], "--n-max: only valid with --corpus"),
+        (["verify", "F[n]=F[n]", "--k-max", "6", "--n-max", "10"], "--n-max, --k-max: only"),
+    ],
+)
+def test_options_that_select_nothing_or_are_ignored_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_verify_json_failure_records_carry_sides(capsys):
     code, out, _ = run_cli(capsys, "verify", "F[n]=L[n]", "--range", "n=0..1", "--json")
     assert code == 1
@@ -341,3 +379,107 @@ def test_module_runner_smoke():
     )
     assert done.returncode == 0
     assert done.stdout.strip() == "x^5 + 4*x^3*y + 3*x*y^2"
+
+
+# -- every argv exits 0, 1 or 2 ----------------------------------------------------
+
+# Identity-language tokens: the grammar's, integers up to 12, and malformed ones.
+_SOURCE_TOKENS = [
+    *"xyDnkFLj", "binom", "sum", *"+-*^()[],=", "..", *map(str, range(13)),
+    "$", ".", "m", "1.5", "_",
+]
+_IX_ATOM = st.sampled_from(["n", "k", *map(str, range(13))]).map(lambda a: [a])
+_IX = _IX_ATOM | st.tuples(_IX_ATOM, st.sampled_from("+-*"), _IX_ATOM).map(
+    lambda p: [*p[0], p[1], *p[2]]
+)
+_ATOM = st.one_of(
+    st.sampled_from(["x", "y", "D", "n", "2"]).map(lambda a: [a]),
+    st.tuples(st.sampled_from("FL"), _IX).map(lambda p: [p[0], "[", *p[1], "]"]),
+    st.tuples(_IX, _IX).map(lambda p: ["binom", "(", *p[0], ",", *p[1], ")"]),
+)
+_FACTOR = _ATOM | st.tuples(_ATOM, _IX_ATOM | _IX.map(lambda i: ["(", *i, ")"])).map(
+    lambda p: [*p[0], "^", *p[1]]
+)
+_SIDE = _FACTOR | st.tuples(_FACTOR, st.sampled_from("+-*"), _FACTOR).map(
+    lambda p: [*p[0], p[1], *p[2]]
+)
+
+
+def _cost(tokens):
+    """Operators that multiply the work: ``*``, ``^`` and an argument list after ``]``."""
+    compositions = sum(a == "]" and b == "(" for a, b in zip(tokens, tokens[1:]))
+    return tokens.count("*") + tokens.count("^") + compositions
+
+
+def _sources(well_formed, max_tokens, max_cost):
+    """Token soups and well-formed sources, at most max_tokens tokens and max_cost
+    work-multiplying operators.  There is no work budget yet: two such operators,
+    or a substituted expression under eval's own index, can take a minute."""
+    soup = st.lists(st.sampled_from(_SOURCE_TOKENS), max_size=max_tokens)
+    tokens = st.one_of(soup, well_formed, well_formed)
+    return tokens.filter(lambda ts: len(ts) <= max_tokens and _cost(ts) <= max_cost).map(" ".join)
+
+
+_INTS = st.integers(-3, 12).map(str)
+# the default (10, 6) grid takes seconds per run, so catalog and corpus runs
+# always get bounds, and valid ones stay at most 4
+_GRID = st.integers(-1, 4).map(str) | st.sampled_from(["", "a"])
+_KIND = st.sampled_from(["F", "L", "G"])
+_IDS = st.lists(st.sampled_from(["EQ04", "EQ16", "EQ20", "EQ99", "", " "]), max_size=3).map(",".join)
+_RATIONALS = st.sampled_from(["0", "1", "-2", "1/2", "3/4", "1/0", "a", ""])
+_RANGE = st.builds(
+    "{}={}..{}".format, st.sampled_from(["n", "k", "m", ""]), _INTS, _INTS
+) | st.sampled_from(["n=0-3", "n", "=..", ""])
+
+
+def _options(*pairs):
+    """Any subset of the given (flag, value strategy) options, in any order."""
+    chosen = st.lists(st.sampled_from(pairs), max_size=len(pairs), unique_by=lambda p: p[0])
+    return chosen.flatmap(
+        lambda ps: st.tuples(*(st.tuples(st.just(f), v) for f, v in ps))
+    ).map(lambda ps: [item for flag, value in ps for item in (flag, value) if item is not None])
+
+
+def _argv(*parts):
+    """The concatenation of the lists drawn from the given strategies."""
+    return st.tuples(*parts).map(lambda ps: [item for part in ps for item in part])
+
+
+_GRID_BOUNDS = _argv(st.tuples(st.just("--n-max"), _GRID), st.tuples(st.just("--k-max"), _GRID))
+_ARGVS = st.one_of(
+    _argv(
+        st.just(["eval"]), st.tuples(_KIND, _INTS | _GRID),
+        _options(("--xsub", _sources(_SIDE, 6, 0)), ("--ysub", _sources(_SIDE, 6, 0)),
+                 ("--at", st.lists(_RATIONALS, max_size=3).map(",".join))),
+    ),
+    _argv(st.just(["catalog"]), _GRID_BOUNDS, _options(("--ids", _IDS), ("--json", st.none()))),
+    _argv(
+        st.just(["verify"]),
+        st.lists(_sources(_argv(_SIDE, st.just(["="]), _SIDE), 12, 1), max_size=1),
+        _options(("--range", _RANGE), ("--json", st.none()), ("--ids", _IDS), ("--n-max", _GRID)),
+    ),
+    _argv(
+        st.just(["verify", "--corpus"]), _GRID_BOUNDS,
+        _options(("--ids", _IDS), ("--json", st.none()), ("--range", _RANGE)),
+    ),
+    _argv(
+        st.just(["sequence"]), st.tuples(_KIND),
+        _options(("--x", _RATIONALS), ("--y", _RATIONALS), ("--count", _INTS)),
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(_ARGVS)
+def test_every_argv_exits_0_1_or_2(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+    if code == 1:
+        assert "domain error" not in out.getvalue(), argv

@@ -130,6 +130,13 @@ def test_substitute_degree_one():
     assert X.substitute(l5, Y**3 + 7) == l5
 
 
+@pytest.mark.parametrize("p", [ZERO, BivarPoly.const(3), X * Y - 1], ids=["zero", "const", "xy-1"])
+def test_substitute_lands_in_the_arguments_ring(p):
+    # the zero polynomial too, whose image is the zero of that ring
+    assert type(p.substitute(DELTA, Y)) is QuadExtElem
+    assert type(p.substitute(Fraction(1), Fraction(2))) is Fraction
+
+
 @given(small_polys, small_polys, small_polys, small_polys)
 def test_substitute_is_a_homomorphism(p, q, xs, ys):
     assert (p + q).substitute(xs, ys) == p.substitute(xs, ys) + q.substitute(xs, ys)
