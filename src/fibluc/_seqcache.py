@@ -9,22 +9,29 @@ outside the generator module, which stays cache-free.
 from __future__ import annotations
 
 import threading
+from itertools import islice
 
 from .poly import BivarPoly
 from .sequences import SeqKind, seq_terms
 
 _lock = threading.Lock()
-# each table holds the terms its generator has yielded so far
+# each table holds the terms computed so far, next to the generator of the rest
 _tables = {kind: ([], seq_terms(kind)) for kind in SeqKind}
 
 
 def _cached(kind: SeqKind, n: int) -> BivarPoly:
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    table, terms = _tables[kind]
     with _lock:
-        while len(table) <= n:
-            table.append(next(terms))
+        table, terms = _tables[kind]
+        try:
+            while len(table) <= n:
+                table.append(next(terms))
+        except BaseException:
+            # a raising next() finishes the generator, and a term computed but not
+            # appended is lost: restart at the first index the table lacks
+            _tables[kind] = (table, islice(seq_terms(kind), len(table), None))
+            raise
         return table[n]
 
 

@@ -446,8 +446,12 @@ def _eval_index(node: Node, env: Mapping[str, int]) -> int:
     return value
 
 
-def _binding_text(env: Mapping[str, int]) -> str:
-    return "{" + ", ".join(f"{name}={env[name]}" for name in sorted(env)) + "}"
+def _domain_error(problem: str, node: Node, env: Mapping[str, int]) -> DomainError:
+    """``<problem> in <node> at {n=.., k=..}``, leaving out an empty binding."""
+    message = f"{problem} in {render(node)}"
+    if env:
+        message += " at {" + ", ".join(f"{name}={env[name]}" for name in sorted(env)) + "}"
+    return DomainError(message)
 
 
 def _eval_ring(node: Node, env: Mapping[str, int]):
@@ -477,17 +481,13 @@ def _eval_ring(node: Node, env: Mapping[str, int]):
     if isinstance(node, Pow):
         exponent = _eval_index(node.exponent, env)
         if exponent < 0:
-            raise DomainError(
-                f"negative exponent {exponent} in {render(node)} at {_binding_text(env)}"
-            )
+            raise _domain_error(f"negative exponent {exponent}", node, env)
         return _eval_ring(node.base, env) ** exponent
     if isinstance(node, Binom):
         upper = _eval_index(node.upper, env)
         lower = _eval_index(node.lower, env)
         if upper < 0:
-            raise DomainError(
-                f"negative binomial index {upper} in {render(node)} at {_binding_text(env)}"
-            )
+            raise _domain_error(f"negative binomial index {upper}", node, env)
         return binomial(upper, lower)
     if isinstance(node, Sum):
         low = _eval_index(node.low, env)
@@ -503,9 +503,7 @@ def _eval_ring(node: Node, env: Mapping[str, int]):
     if isinstance(node, SeqApp):
         index = _eval_index(node.index, env)
         if index < 0:
-            raise DomainError(
-                f"negative sequence index {index} in {render(node)} at {_binding_text(env)}"
-            )
+            raise _domain_error(f"negative sequence index {index}", node, env)
         if node.args is None:
             return fib_poly(index) if node.kind == "F" else luc_poly(index)
         x_arg = _eval_ring(node.args[0], env)

@@ -1,11 +1,11 @@
 """Exact sparse bivariate polynomials over the rationals, and the quadratic
 extension ring adjoining a formal square root of x^2 + 4y.
 
-A polynomial stores a mapping from exponent pairs ``(i, j)`` (for ``x^i *
-y^j``) to nonzero :class:`fractions.Fraction` coefficients.  Zero
-coefficients are never stored, so two polynomials are equal exactly when
-their term mappings coincide, and ``==`` is a decision procedure for
-polynomial identity.
+A polynomial maps exponent pairs ``(i, j)`` (for ``x^i * y^j``) to nonzero
+coefficients, each an ``int``, or a :class:`fractions.Fraction` where a
+rational was supplied; equal ints and Fractions compare and hash alike.
+Zero coefficients are never stored, so two polynomials are equal exactly
+when their term mappings coincide, and ``==`` decides polynomial identity.
 
 :class:`QuadExtElem` represents ``a + b*D`` with ``D^2 = x^2 + 4y``.  The
 element ``D`` plays the role of the root difference of the characteristic
@@ -22,14 +22,12 @@ from typing import Mapping, Union
 
 Monomial = tuple[int, int]
 
-_CoeffLike = Union[int, Fraction]
+_Coeff = Union[int, Fraction]
 
 
-def _as_fraction(value: _CoeffLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _coefficient(value: _Coeff) -> _Coeff:
+    if isinstance(value, (int, Fraction)):
+        return int(value) if isinstance(value, bool) else value
     raise TypeError(f"not a rational coefficient: {value!r}")
 
 
@@ -38,13 +36,13 @@ class BivarPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, _CoeffLike] | None = None) -> None:
-        clean: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping[Monomial, _Coeff] | None = None) -> None:
+        clean: dict[Monomial, _Coeff] = {}
         if terms:
             for (i, j), raw in terms.items():
                 if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
                     raise ValueError(f"exponents must be nonnegative integers, got ({i}, {j})")
-                coeff = _as_fraction(raw)
+                coeff = _coefficient(raw)
                 if coeff:
                     clean[(i, j)] = coeff
         self._terms = clean
@@ -60,13 +58,13 @@ class BivarPoly:
         return cls({(0, 0): 1})
 
     @classmethod
-    def const(cls, value: _CoeffLike) -> BivarPoly:
+    def const(cls, value: _Coeff) -> BivarPoly:
         return cls({(0, 0): value})
 
     # -- inspection -------------------------------------------------------
 
     @property
-    def terms(self) -> dict[Monomial, Fraction]:
+    def terms(self) -> dict[Monomial, _Coeff]:
         """Copy of the term mapping; the polynomial itself stays immutable."""
         return dict(self._terms)
 
@@ -76,9 +74,9 @@ class BivarPoly:
     def is_constant(self) -> bool:
         return not self._terms or self._terms.keys() == {(0, 0)}
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> _Coeff:
         """The coefficient of x^0 y^0 (the whole value for constants)."""
-        return self._terms.get((0, 0), Fraction(0))
+        return self._terms.get((0, 0), 0)
 
     # -- ring structure ---------------------------------------------------
 
@@ -128,7 +126,7 @@ class BivarPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, _Coeff] = {}
         for (i, j), ca in self._terms.items():
             for (p, q), cb in rhs._terms.items():
                 mono = (i + p, j + q)
@@ -183,7 +181,7 @@ class BivarPoly:
             total = total + x_powers[i] * y_powers[j] * coeff
         return total
 
-    def eval_at(self, x0: _CoeffLike, y0: _CoeffLike) -> Fraction:
+    def eval_at(self, x0: _Coeff, y0: _Coeff) -> Fraction:
         """Exact rational value at the point (x0, y0)."""
         return self.substitute(Fraction(x0), Fraction(y0))
 
@@ -239,7 +237,7 @@ class QuadExtElem:
 
     __slots__ = ("_a", "_b")
 
-    def __init__(self, a: BivarPoly | _CoeffLike = ZERO, b: BivarPoly | _CoeffLike = ZERO) -> None:
+    def __init__(self, a: BivarPoly | _Coeff = ZERO, b: BivarPoly | _Coeff = ZERO) -> None:
         a_poly = BivarPoly._coerce(a)
         b_poly = BivarPoly._coerce(b)
         if a_poly is None or b_poly is None:
@@ -254,10 +252,6 @@ class QuadExtElem:
     @property
     def b(self) -> BivarPoly:
         return self._b
-
-    def is_base(self) -> bool:
-        """True when the D part vanishes, i.e. the value is a plain polynomial."""
-        return self._b.is_zero()
 
     def conjugate(self) -> QuadExtElem:
         return QuadExtElem(self._a, -self._b)
@@ -336,7 +330,7 @@ DELTA = QuadExtElem(ZERO, ONE)
 RingValue = Union[BivarPoly, QuadExtElem]
 
 
-def _term_text(mono: Monomial, magnitude: Fraction) -> str:
+def _term_text(mono: Monomial, magnitude: _Coeff) -> str:
     i, j = mono
     factors: list[str] = []
     if magnitude != 1 or (i == 0 and j == 0):

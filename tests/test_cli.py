@@ -206,18 +206,22 @@ def test_nesting_deeper_than_max_depth_is_a_parse_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, binding",
+    "argv, message",
     [
-        (["verify", "F[n]=F[n]", "--range", "n=-3..-1"], "{n=-3}"),
-        (["verify", "y*F[n-1]+F[n+1]=L[n]"], "{n=0}"),
+        (["verify", "F[n]=F[n]", "--range", "n=-3..-1"], "negative sequence index -3 in F[n] at {n=-3}"),
+        (["verify", "y*F[n-1]+F[n+1]=L[n]"], "negative sequence index -1 in F[n - 1] at {n=0}"),
+        # nothing is bound, so no binding is named
+        (["verify", "x^(0-1)=1"], "negative exponent -1 in x^(0 - 1)"),
+        (["eval", "F", "3", "--xsub", "x^(0-1)"], "negative exponent -1 in x^(0 - 1)"),
     ],
+    ids=["argv0-{n=-3}", "argv1-{n=0}", "verify-nothing-bound", "eval-nothing-bound"],
 )
-def test_verify_domain_error_exits_2(capsys, argv, binding):
-    # a negative subscript is outside the identity's domain, not a counterexample
+def test_verify_domain_error_exits_2(capsys, argv, message):
+    # a negative subscript or exponent is outside the identity's domain, not a counterexample
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: negative sequence index ")
-    assert err.rstrip().endswith(f" at {binding}")
+    assert err == f"error: {message}\n"
+    assert " at {}" not in err
 
 
 @pytest.mark.parametrize(

@@ -15,10 +15,13 @@ from fibluc import (
     Y,
     ZERO,
     BivarPoly,
+    SeqKind,
     canonical_text,
     evaluate,
     parse_expression,
+    seq,
 )
+from fibluc._seqcache import fib_poly, luc_poly
 from oracles import poly_fib, poly_luc
 
 # Random sparse polynomials: at most 8 terms, exponents <= 6, coefficients
@@ -98,6 +101,33 @@ def test_constructor_rejects_bad_exponents():
         BivarPoly({(-1, 0): 1})
     with pytest.raises(ValueError):
         BivarPoly({(0, 1.5): 1})
+
+
+@pytest.mark.parametrize("coeff", [1.5, "2"])
+def test_constructor_rejects_non_rational_coefficients(coeff):
+    with pytest.raises(TypeError):
+        BivarPoly({(1, 0): coeff})
+
+
+def test_integer_polynomials_keep_int_coefficients():
+    # coefficients stay the numbers int arithmetic produces; nothing promotes them
+    p = 3 * X**2 - 2 * X * Y + 5
+    q = X - 7 * Y**3
+    values = [
+        p + q,
+        p - q,
+        2 - p,
+        p * q,
+        p**3,
+        (2 * X) ** 5,
+        p.substitute(q, p * q),
+        fib_poly(40),
+        luc_poly(40),
+        seq(SeqKind.FIB, 12, q, -(Y**2)),
+        seq(SeqKind.LUC, 12, p, q),
+    ]
+    for value in values:
+        assert {type(coeff) for coeff in value.terms.values()} == {int}
 
 
 def test_terms_view_cannot_mutate_the_polynomial():
@@ -207,8 +237,9 @@ def test_embedding_powers_match(p, q):
         (BivarPoly.const(Fraction(-5, 3)), Fraction(-5, 3)),
         (ZERO, 0),
         (QuadExtElem(3), 3),
+        (BivarPoly({(1, 0): Fraction(2)}), 2 * X),
     ],
-    ids=["int", "fraction", "zero", "extension"],
+    ids=["int", "fraction", "zero", "extension", "fraction-coefficient"],
 )
 def test_constants_hash_like_the_number_they_equal(value, number):
     assert value == number
@@ -250,6 +281,7 @@ def test_text_basic_formats():
     assert canonical_text(X**3 + 2 * X * Y) == "x^3 + 2*x*y"
     assert canonical_text(ZERO) == "0"
     assert canonical_text(X - Y**2) == "x - y^2"
+    assert canonical_text(BivarPoly({(0, 0): True})) == "1"
 
 
 def test_text_fractional_coefficients():

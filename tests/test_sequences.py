@@ -32,6 +32,7 @@ from fibluc import (
     seq,
     seq_terms,
 )
+from fibluc import _seqcache
 from fibluc._seqcache import fib_poly, luc_poly
 from oracles import int_seq, poly_fib, poly_luc
 
@@ -62,6 +63,24 @@ def test_cached_tables_match_oracle():
     for n in range(0, 65):
         assert fib_poly(n).terms == poly_fib(n)
         assert luc_poly(n).terms == poly_luc(n)
+
+
+def test_interrupted_cache_fill_recovers(monkeypatch):
+    # an exception inside the fill must not break the table for later calls
+    n = len(_seqcache._tables[SeqKind.FIB][0]) + 5
+    real_mul = BivarPoly.__mul__
+    calls = []
+
+    def mul_failing_once(self, other):
+        calls.append(None)
+        if len(calls) == 3:  # inside the second term this fill computes
+            raise RuntimeError("interrupted")
+        return real_mul(self, other)
+
+    monkeypatch.setattr(BivarPoly, "__mul__", mul_failing_once)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        fib_poly(n)
+    assert fib_poly(n).terms == poly_fib(n)
 
 
 def test_terms_are_computed_only_when_requested():
