@@ -97,6 +97,8 @@ def _parse_ranges(args: list[str]) -> dict[str, tuple[int, int]]:
             if name not in idlang.META_VARS:
                 known = ", ".join(sorted(idlang.META_VARS))
                 raise ValueError(f"unknown range name {name!r}, expected one of: {known}")
+            if name in ranges:
+                raise ValueError(f"range for {name!r} given twice")
             try:
                 low, high = int(low_text), int(high_text)
             except ValueError:

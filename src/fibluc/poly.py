@@ -6,6 +6,9 @@ coefficients, each an ``int``, or a :class:`fractions.Fraction` where a
 rational was supplied; equal ints and Fractions compare and hash alike.
 Zero coefficients are never stored, so two polynomials are equal exactly
 when their term mappings coincide, and ``==`` decides polynomial identity.
+Large products of weighted-homogeneous integer polynomials (every term has
+the same weight ``i + 2*j``, as in F_n and L_n) are computed with one
+integer multiply (Kronecker packing); results are unchanged.
 
 :class:`QuadExtElem` represents ``a + b*D`` with ``D^2 = x^2 + 4y``.  The
 element ``D`` plays the role of the root difference of the characteristic
@@ -126,15 +129,22 @@ class BivarPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out: dict[Monomial, _Coeff] = {}
-        for (i, j), ca in self._terms.items():
-            for (p, q), cb in rhs._terms.items():
-                mono = (i + p, j + q)
-                total = out.get(mono, 0) + ca * cb
-                if total:
-                    out[mono] = total
-                else:
-                    out.pop(mono, None)
+        a, b = self._terms, rhs._terms
+        if (
+            len(a) < _PACK_MIN_TERMS
+            or len(b) < _PACK_MIN_TERMS
+            or len(a) * len(b) < _PACK_MIN_PAIRS
+            or (out := _packed_product(a, b)) is None
+        ):
+            out = {}
+            for (i, j), ca in a.items():
+                for (p, q), cb in b.items():
+                    mono = (i + p, j + q)
+                    total = out.get(mono, 0) + ca * cb
+                    if total:
+                        out[mono] = total
+                    else:
+                        out.pop(mono, None)
         result = BivarPoly.__new__(BivarPoly)
         result._terms = out
         return result
@@ -192,6 +202,57 @@ class BivarPoly:
 
     def __repr__(self) -> str:
         return f"BivarPoly({canonical_text(self)})"
+
+
+#: Fewest terms in each operand, and fewest term pairs, for which
+#: ``BivarPoly.__mul__`` tries one packed integer product instead of the dict
+#: loop.  Against one or two terms the dict loop is already linear in the
+#: longer operand and costs less per term than packing it.
+_PACK_MIN_TERMS = 3
+_PACK_MIN_PAIRS = 64
+
+
+def _packed_product(
+    a: Mapping[Monomial, _Coeff], b: Mapping[Monomial, _Coeff]
+) -> dict[Monomial, int] | None:
+    """Term dict of a*b by Kronecker substitution, or None where it does not apply.
+
+    Both operands must be nonempty.  It applies when every coefficient is an
+    ``int`` and each operand is weighted-homogeneous: all its terms have one
+    weight ``i + 2*j``.  A term is then fixed by its y-exponent, so each
+    operand packs into the int ``sum(c << s*(j - j_min))`` and the digits of
+    the one product are the coefficients of a*b.  An output coefficient is a
+    sum of at most ``min(len(a), len(b))`` products, so the slot width ``s``
+    holds it with its sign.
+    """
+    shapes = []
+    for terms in (a, b):
+        i, low = next(iter(terms))
+        weight = i + 2 * low
+        for (i, j), c in terms.items():
+            if i + 2 * j != weight or type(c) is not int:
+                return None
+            if j < low:
+                low = j
+        shapes.append((weight, low, max(map(abs, terms.values())).bit_length()))
+    (wa, ja, top_a), (wb, jb, top_b) = shapes
+    s = top_a + top_b + min(len(a), len(b)).bit_length() + 1
+    packed = sum(c << s * (j - ja) for (_, j), c in a.items()) * sum(
+        c << s * (j - jb) for (_, j), c in b.items()
+    )
+    mask, half = (1 << s) - 1, 1 << (s - 1)
+    weight, j = wa + wb, ja + jb
+    out = {}
+    while packed:
+        digit = packed & mask
+        packed >>= s
+        if digit >= half:  # a negative digit borrows one from the next slot
+            digit -= 1 << s
+            packed += 1
+        if digit:
+            out[(weight - 2 * j, j)] = digit
+        j += 1
+    return out
 
 
 def binary_power(base, exponent: int, one):

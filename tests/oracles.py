@@ -25,6 +25,14 @@ def d_shift(p: dict, di: int, dj: int) -> dict:
     return {(i + di, j + dj): coeff for (i, j), coeff in p.items()}
 
 
+def d_mul(a: dict, b: dict) -> dict:
+    """Schoolbook product of two term dicts."""
+    out: dict = {}
+    for (i, j), ca in a.items():
+        out = d_add(out, {(i + p, j + q): ca * cb for (p, q), cb in b.items()})
+    return out
+
+
 def poly_fib(n: int) -> dict:
     """F_n(x, y) as a bare term dict, via the recurrence F = x*F' + y*F''."""
     prev: dict = {}

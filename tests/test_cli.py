@@ -175,6 +175,21 @@ def test_verify_rejects_empty_or_unknown_ranges(capsys, spec, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "range_args",
+    [
+        ["--range", "n=0..1,n=3..4"],
+        ["--range", "n=0..1", "--range", "n=3..4"],
+        ["--range", "n=0..1,k=1..2", "--range", "n=3..4"],
+    ],
+)
+def test_verify_rejects_a_repeated_range_name(capsys, range_args):
+    code, out, err = run_cli(capsys, "verify", "F[n]=F[n]", *range_args)
+    assert code == 2
+    assert out == ""
+    assert "range for 'n' given twice" in err
+
+
 def _groups(depth):
     """x inside depth - 1 parentheses: depth levels, counting the outer one."""
     return "(" * (depth - 1) + "x" + ")" * (depth - 1)

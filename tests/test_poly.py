@@ -22,7 +22,8 @@ from fibluc import (
     seq,
 )
 from fibluc._seqcache import fib_poly, luc_poly
-from oracles import poly_fib, poly_luc
+from fibluc.poly import _packed_product
+from oracles import d_mul, poly_fib, poly_luc
 
 # Random sparse polynomials: at most 8 terms, exponents <= 6, coefficients
 # in [-9, 9] (zero coefficients are dropped by the constructor).
@@ -69,6 +70,100 @@ def test_mul_doubling_at_two():
 @given(polys)
 def test_mul_zero_absorbs(p):
     assert p * ZERO == ZERO
+
+
+# -- packed (Kronecker) multiplication ---------------------------------------
+
+
+def _homogeneous(weight, coeffs):
+    """The integer polynomial sum of coeffs[j] * x^(weight - 2j) * y^j."""
+    return BivarPoly({(weight - 2 * j, j): c for j, c in coeffs.items()})
+
+
+@st.composite
+def homogeneous_polys(draw):
+    """Weighted-homogeneous integer polynomials with 8 to 40 terms and
+    coefficients up to 2^200 in size, of either sign."""
+    weight = draw(st.integers(14, 90))
+    js = draw(st.lists(st.integers(0, weight // 2), min_size=8, max_size=40, unique=True))
+    nonzero = st.integers(-(2**200), 2**200).filter(bool)
+    coeffs = draw(st.lists(nonzero, min_size=len(js), max_size=len(js)))
+    return _homogeneous(weight, dict(zip(js, coeffs)))
+
+
+@given(homogeneous_polys(), homogeneous_polys())
+def test_packed_mul_matches_schoolbook(p, q):
+    assert _packed_product(p.terms, q.terms) is not None
+    assert (p * q).terms == d_mul(p.terms, q.terms)
+
+
+def test_packed_mul_at_the_slot_boundary():
+    # With 15 terms of size 2^40 - 1 the middle output coefficient is just
+    # under 2^(s-1), the most a slot of width s holds with its sign;
+    # alternating signs make every other output coefficient negative.
+    top = 2**40 - 1
+    s = top.bit_length() * 2 + (15).bit_length() + 1
+    same = _homogeneous(28, {j: top for j in range(15)})
+    alternating = _homogeneous(28, {j: (-1) ** j * top for j in range(15)})
+    for p, q in [(same, same), (same, -same), (-same, -same), (alternating, alternating)]:
+        product = (p * q).terms
+        assert product == d_mul(p.terms, q.terms)
+        assert 2 ** (s - 2) < max(abs(c) for c in product.values()) < 2 ** (s - 1)
+
+
+def test_packed_mul_with_cancelling_middle_terms():
+    # (1 + t + ... + t^15)(1 - t + ... - t^15) = (1 - t^16)(1 + t^2 + ... + t^14)
+    # with t = y/x^2: every odd power cancels.
+    p = _homogeneous(30, {j: 1 for j in range(16)})
+    q = _homogeneous(30, {j: (-1) ** j for j in range(16)})
+    expected = {(60 - 2 * j, j): 1 if j < 16 else -1 for j in range(0, 31, 2)}
+    assert (p * q).terms == expected == d_mul(p.terms, q.terms)
+
+
+def test_packed_mul_of_large_fibonacci_polynomials():
+    assert (fib_poly(120) * fib_poly(121)).terms == d_mul(poly_fib(120), poly_fib(121))
+    assert (fib_poly(120) * luc_poly(120)).terms == poly_fib(240)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (fib_poly(20) + 1, luc_poly(21)),
+        (fib_poly(20) * Fraction(1, 2), luc_poly(21)),
+        (luc_poly(21), fib_poly(20) * Fraction(1, 2)),
+    ],
+    ids=["not-homogeneous", "fraction", "fraction-right"],
+)
+def test_products_the_packed_path_declines(p, q):
+    assert _packed_product(p.terms, q.terms) is None
+    assert (p * q).terms == d_mul(p.terms, q.terms)
+
+
+@pytest.mark.parametrize(
+    "p, q, tried",
+    [
+        (fib_poly(5), luc_poly(6), False),
+        (DISCRIMINANT, fib_poly(140), False),
+        (fib_poly(20), luc_poly(21), True),
+    ],
+    ids=["12-pairs", "2-term-operand", "110-pairs"],
+)
+def test_mul_tries_packing_only_for_large_products(monkeypatch, p, q, tried):
+    calls = []
+
+    def recording(a, b):
+        calls.append((a, b))
+        return _packed_product(a, b)
+
+    monkeypatch.setattr("fibluc.poly._packed_product", recording)
+    assert (p * q).terms == d_mul(p.terms, q.terms)
+    assert bool(calls) == tried
+
+
+@pytest.mark.parametrize("n, m", [(16, 17), (20, 21), (40, 7), (120, 121)])
+def test_fibonacci_times_lucas_is_packed(n, m):
+    a, b = fib_poly(n).terms, luc_poly(m).terms
+    assert _packed_product(a, b) == d_mul(a, b)
 
 
 # -- powers ---------------------------------------------------------------------
