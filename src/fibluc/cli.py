@@ -19,7 +19,7 @@ from .poly import canonical_text
 from .report import CheckReport, select_ids
 from .sequences import SeqKind, seq, seq_terms
 
-#: Default grid upper bounds of ``catalog`` and ``verify --corpus``.
+#: Default grid upper bounds of ``catalog`` and ``verify``.
 _N_MAX, _K_MAX = 10, 6
 
 
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="n=a..b[,k=c..d]",
-        help="inclusive index ranges (defaults: n=0..10, k=1..6)",
+        help=f"inclusive index ranges (defaults: n=0..{_N_MAX}, k=1..{_K_MAX})",
     )
     p_ver.add_argument(
         "--corpus",
@@ -179,6 +179,8 @@ def _corpus_report(args) -> CheckReport:
     k_max = _K_MAX if args.k_max is None else args.k_max
     check_grid_bounds(n_max, k_max)
     entries = idlang.load_corpus(args.corpus or None)
+    if not entries:
+        raise ValueError(f"corpus file {args.corpus!r} holds no identity lines")
     entries = select_ids(entries, _parse_ids(args.ids), "corpus")
     cases = catalog_by_id()
     reports = []
@@ -208,7 +210,7 @@ def _cmd_verify(args) -> int:
     if corpus_flags:
         raise ValueError(f"{', '.join(corpus_flags)}: only valid with --corpus")
     ast = idlang.parse(args.identity)
-    ranges = {"n": (0, 10), "k": (1, 6)}
+    ranges = {"n": (0, _N_MAX), "k": (1, _K_MAX)}
     ranges.update(_parse_ranges(args.ranges))
     report = idlang.check(ast, ranges)
     return _emit_report(report, args.json)

@@ -22,15 +22,17 @@ Grammar (EBNF)::
     ixexpr   = integer / meta-variable arithmetic with + - * and parentheses ;
 
 ``^`` binds tighter than unary minus, so ``-y^k`` means ``-(y^k)``.
-Parsing and evaluation are pure; ASTs are immutable.
+Parsing and evaluation are pure; ASTs are immutable.  Each node kind's rules
+(its value, its free meta-variables and its source text) live in its class.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping
 
 from ._seqcache import fib_poly, luc_poly
 from .poly import BivarPoly, DELTA, X, Y, ZERO
@@ -43,8 +45,11 @@ META_VARS = {"n", "k"}
 #: Deepest expression the parser accepts, as nesting of sub-expressions (the
 #: whole expression is level 1; each parenthesized group, bracketed index,
 #: argument or sum body is one more) and as AST height (a leaf is 1).  The
-#: parser, evaluator and renderer recurse once per level, so this keeps every
-#: input well inside Python's recursion limit.
+#: parser takes five stack frames per nesting level (about 500 at this depth),
+#: the renderer two per level of height (``_render`` and the node's ``_text``:
+#: about 200) and the evaluator one; a domain error renders its node from
+#: inside the evaluator, which stays near 200.  So every input stays well
+#: inside Python's default recursion limit of 1000.
 MAX_DEPTH = 100
 _TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
@@ -60,92 +65,244 @@ class ParseError(Exception):
 
 
 # -- AST ----------------------------------------------------------------------
+#
+# Each node kind states its rules in its class: ``_eval(env)`` is its exact
+# value (a plain int when no x, y, D or F/L occurs in it), ``_free(bound)`` the
+# meta-variables it depends on outside the names in ``bound``, and ``_text()``
+# its source text, in which ``_render`` parenthesizes each operand whose
+# precedence ``level`` is below what its position needs.
+
+_LEVEL_EQ = 0
+_LEVEL_ADD = 1
+_LEVEL_MUL = 2
+_LEVEL_UNARY = 3
+_LEVEL_POW = 4
+_LEVEL_ATOM = 5
+
+
+class Node:
+    """An AST node, by default with an atom's precedence and no meta-variables."""
+
+    level = _LEVEL_ATOM
+
+    def _free(self, bound: tuple[str, ...]) -> set[str]:
+        return set()
 
 
 @dataclass(frozen=True)
-class IntLit:
+class IntLit(Node):
     value: int
 
+    def _eval(self, env: Mapping[str, int]) -> int:
+        return self.value
 
-@dataclass(frozen=True)
-class VarX:
-    pass
-
-
-@dataclass(frozen=True)
-class VarY:
-    pass
+    def _text(self) -> str:
+        return str(self.value)
 
 
 @dataclass(frozen=True)
-class VarDelta:
-    pass
+class _Symbol(Node):
+    """A ring generator: x, y or D."""
+
+    def _eval(self, env: Mapping[str, int]):
+        return self._value
+
+    def _text(self) -> str:
+        return self._symbol
+
+
+class VarX(_Symbol):
+    _value, _symbol = X, "x"
+
+
+class VarY(_Symbol):
+    _value, _symbol = Y, "y"
+
+
+class VarDelta(_Symbol):
+    _value, _symbol = DELTA, "D"
 
 
 @dataclass(frozen=True)
-class MetaVar:
+class MetaVar(Node):
     name: str
 
+    def _eval(self, env: Mapping[str, int]) -> int:
+        try:
+            return env[self.name]
+        except KeyError:
+            raise DomainError(f"unbound meta-variable '{self.name}'") from None
+
+    def _free(self, bound: tuple[str, ...]) -> set[str]:
+        return set() if self.name in bound else {self.name}
+
+    def _text(self) -> str:
+        return self.name
+
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(Node):
     operand: "Node"
 
+    level = _LEVEL_UNARY
+
+    def _eval(self, env: Mapping[str, int]):
+        return -self.operand._eval(env)
+
+    def _free(self, bound: tuple[str, ...]) -> set[str]:
+        return self.operand._free(bound)
+
+    def _text(self) -> str:
+        return f"-{_render(self.operand, _LEVEL_POW)}"
+
 
 @dataclass(frozen=True)
-class Add:
+class _Binary(Node):
+    """``left <symbol> right`` for a left-associative operator."""
+
     left: "Node"
     right: "Node"
 
+    def _eval(self, env: Mapping[str, int]):
+        return self._op(self.left._eval(env), self.right._eval(env))
+
+    def _free(self, bound: tuple[str, ...]) -> set[str]:
+        return self.left._free(bound) | self.right._free(bound)
+
+    def _text(self) -> str:
+        left = _render(self.left, self.level)
+        return f"{left} {self._symbol} {_render(self.right, self.level + 1)}"
+
+
+class Add(_Binary):
+    _op, _symbol, level = operator.add, "+", _LEVEL_ADD
+
+
+class Sub(_Binary):
+    _op, _symbol, level = operator.sub, "-", _LEVEL_ADD
+
+
+class Mul(_Binary):
+    _op, _symbol, level = operator.mul, "*", _LEVEL_MUL
+
 
 @dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
+class Pow(Node):
     base: "Node"
     exponent: "Node"
 
+    level = _LEVEL_POW
+
+    def _eval(self, env: Mapping[str, int]):
+        exponent = _eval_index(self.exponent, env)
+        if exponent < 0:
+            raise _domain_error(f"negative exponent {exponent}", self, env)
+        return self.base._eval(env) ** exponent
+
+    def _free(self, bound: tuple[str, ...]) -> set[str]:
+        return self.base._free(bound) | self.exponent._free(bound)
+
+    def _text(self) -> str:
+        exponent = self.exponent
+        if isinstance(exponent, MetaVar) or isinstance(exponent, IntLit) and exponent.value >= 0:
+            exp_text = exponent._text()
+        else:
+            exp_text = f"({_render(exponent, _LEVEL_ADD)})"
+        return f"{_render(self.base, _LEVEL_ATOM)}^{exp_text}"
+
 
 @dataclass(frozen=True)
-class Binom:
+class Binom(Node):
     upper: "Node"
     lower: "Node"
 
+    def _eval(self, env: Mapping[str, int]) -> int:
+        upper = _eval_index(self.upper, env)
+        lower = _eval_index(self.lower, env)
+        if upper < 0:
+            raise _domain_error(f"negative binomial index {upper}", self, env)
+        return binomial(upper, lower)
+
+    def _free(self, bound: tuple[str, ...]) -> set[str]:
+        return self.upper._free(bound) | self.lower._free(bound)
+
+    def _text(self) -> str:
+        return f"binom({_render(self.upper, _LEVEL_ADD)}, {_render(self.lower, _LEVEL_ADD)})"
+
 
 @dataclass(frozen=True)
-class Sum:
+class Sum(Node):
     var: str
     low: "Node"
     high: "Node"
     body: "Node"
 
+    def _eval(self, env: Mapping[str, int]):
+        low = _eval_index(self.low, env)
+        high = _eval_index(self.high, env)
+        total = ZERO
+        if low > high:
+            return total
+        inner = dict(env)
+        for value in range(low, high + 1):
+            inner[self.var] = value
+            total = total + self.body._eval(inner)
+        return total
+
+    def _free(self, bound: tuple[str, ...]) -> set[str]:
+        names = self.low._free(bound) | self.high._free(bound)
+        return names | self.body._free(bound + (self.var,))
+
+    def _text(self) -> str:
+        return (
+            f"sum({self.var}={_render(self.low, _LEVEL_ADD)}..{_render(self.high, _LEVEL_ADD)}, "
+            f"{_render(self.body, _LEVEL_ADD)})"
+        )
+
 
 @dataclass(frozen=True)
-class SeqApp:
+class SeqApp(Node):
     kind: str  # "F" or "L"
     index: "Node"
     args: tuple["Node", "Node"] | None = None
 
+    def _eval(self, env: Mapping[str, int]):
+        index = _eval_index(self.index, env)
+        if index < 0:
+            raise _domain_error(f"negative sequence index {index}", self, env)
+        if self.args is None:
+            return fib_poly(index) if self.kind == "F" else luc_poly(index)
+        x_arg, y_arg = self.args
+        return seq(SeqKind(self.kind), index, x_arg._eval(env), y_arg._eval(env))
+
+    def _free(self, bound: tuple[str, ...]) -> set[str]:
+        names = self.index._free(bound)
+        if self.args is not None:
+            names |= self.args[0]._free(bound) | self.args[1]._free(bound)
+        return names
+
+    def _text(self) -> str:
+        text = f"{self.kind}[{_render(self.index, _LEVEL_ADD)}]"
+        if self.args is not None:
+            text += f"({_render(self.args[0], _LEVEL_ADD)}, {_render(self.args[1], _LEVEL_ADD)})"
+        return text
+
 
 @dataclass(frozen=True)
-class Eq:
+class Eq(Node):
     lhs: "Node"
     rhs: "Node"
 
+    level = _LEVEL_EQ
 
-Node = Union[
-    IntLit, VarX, VarY, VarDelta, MetaVar, Neg, Add, Sub, Mul, Pow, Binom, Sum, SeqApp, Eq
-]
+    def _eval(self, env: Mapping[str, int]):
+        raise ValueError("cannot evaluate an identity; evaluate one side")
+
+    def _free(self, bound: tuple[str, ...]) -> set[str]:
+        return self.lhs._free(bound) | self.rhs._free(bound)
+
+    def _text(self) -> str:
+        return f"{_render(self.lhs, _LEVEL_ADD)} = {_render(self.rhs, _LEVEL_ADD)}"
 
 
 # -- tokenizer ------------------------------------------------------------------
@@ -440,7 +597,7 @@ def parse_expression(source: str) -> Node:
 
 
 def _eval_index(node: Node, env: Mapping[str, int]) -> int:
-    value = _eval_ring(node, env)
+    value = node._eval(env)
     if not isinstance(value, int):
         raise ValueError(f"not an index expression: {render(node)}")
     return value
@@ -454,99 +611,15 @@ def _domain_error(problem: str, node: Node, env: Mapping[str, int]) -> DomainErr
     return DomainError(message)
 
 
-def _eval_ring(node: Node, env: Mapping[str, int]):
-    """Exact value of ``node``; a plain int when no x, y, D or F/L occurs in it."""
-    # the node kinds of index expressions come first: they are the most frequent
-    if isinstance(node, IntLit):
-        return node.value
-    if isinstance(node, MetaVar):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise DomainError(f"unbound meta-variable '{node.name}'") from None
-    if isinstance(node, Neg):
-        return -_eval_ring(node.operand, env)
-    if isinstance(node, Add):
-        return _eval_ring(node.left, env) + _eval_ring(node.right, env)
-    if isinstance(node, Sub):
-        return _eval_ring(node.left, env) - _eval_ring(node.right, env)
-    if isinstance(node, Mul):
-        return _eval_ring(node.left, env) * _eval_ring(node.right, env)
-    if isinstance(node, VarX):
-        return X
-    if isinstance(node, VarY):
-        return Y
-    if isinstance(node, VarDelta):
-        return DELTA
-    if isinstance(node, Pow):
-        exponent = _eval_index(node.exponent, env)
-        if exponent < 0:
-            raise _domain_error(f"negative exponent {exponent}", node, env)
-        return _eval_ring(node.base, env) ** exponent
-    if isinstance(node, Binom):
-        upper = _eval_index(node.upper, env)
-        lower = _eval_index(node.lower, env)
-        if upper < 0:
-            raise _domain_error(f"negative binomial index {upper}", node, env)
-        return binomial(upper, lower)
-    if isinstance(node, Sum):
-        low = _eval_index(node.low, env)
-        high = _eval_index(node.high, env)
-        total = ZERO
-        if low > high:
-            return total
-        inner = dict(env)
-        for value in range(low, high + 1):
-            inner[node.var] = value
-            total = total + _eval_ring(node.body, inner)
-        return total
-    if isinstance(node, SeqApp):
-        index = _eval_index(node.index, env)
-        if index < 0:
-            raise _domain_error(f"negative sequence index {index}", node, env)
-        if node.args is None:
-            return fib_poly(index) if node.kind == "F" else luc_poly(index)
-        x_arg = _eval_ring(node.args[0], env)
-        y_arg = _eval_ring(node.args[1], env)
-        return seq(SeqKind(node.kind), index, x_arg, y_arg)
-    if isinstance(node, Eq):
-        raise ValueError("cannot evaluate an identity; evaluate one side")
-    raise ValueError(f"cannot evaluate node {node!r}")
-
-
 def evaluate(node: Node, binding: Mapping[str, int]):
     """Exact ring value of an expression under the given meta-variable binding."""
-    value = _eval_ring(node, dict(binding))
+    value = node._eval(dict(binding))
     return BivarPoly.const(value) if isinstance(value, int) else value
 
 
 def free_meta_vars(node: Node) -> set[str]:
     """Meta-variables the expression depends on (sum-bound names excluded)."""
-
-    def walk(item: Node, bound: tuple[str, ...]) -> set[str]:
-        if isinstance(item, MetaVar):
-            return set() if item.name in bound else {item.name}
-        if isinstance(item, Neg):
-            return walk(item.operand, bound)
-        if isinstance(item, (Add, Sub, Mul)):
-            return walk(item.left, bound) | walk(item.right, bound)
-        if isinstance(item, Pow):
-            return walk(item.base, bound) | walk(item.exponent, bound)
-        if isinstance(item, Binom):
-            return walk(item.upper, bound) | walk(item.lower, bound)
-        if isinstance(item, Sum):
-            names = walk(item.low, bound) | walk(item.high, bound)
-            return names | walk(item.body, bound + (item.var,))
-        if isinstance(item, SeqApp):
-            names = walk(item.index, bound)
-            if item.args is not None:
-                names |= walk(item.args[0], bound) | walk(item.args[1], bound)
-            return names
-        if isinstance(item, Eq):
-            return walk(item.lhs, bound) | walk(item.rhs, bound)
-        return set()
-
-    return walk(node, ())
+    return node._free(())
 
 
 def check(ast: Eq, ranges: Mapping[str, tuple[int, int]], case_id: str = "user") -> CheckReport:
@@ -573,79 +646,16 @@ def check(ast: Eq, ranges: Mapping[str, tuple[int, int]], case_id: str = "user")
     cells = []
     for n, k in itertools.product(axis("n"), axis("k")):
         env = {name: value for name, value in (("n", n), ("k", k)) if value is not None}
-        cells.append(
-            check_cell(case_id, n, k, lambda: (_eval_ring(ast.lhs, env), _eval_ring(ast.rhs, env)))
-        )
+        cells.append(check_cell(case_id, n, k, lambda: (ast.lhs._eval(env), ast.rhs._eval(env))))
     return CheckReport.from_cells(cells)
 
 
 # -- rendering --------------------------------------------------------------------
 
-_LEVEL_EQ = 0
-_LEVEL_ADD = 1
-_LEVEL_MUL = 2
-_LEVEL_UNARY = 3
-_LEVEL_POW = 4
-_LEVEL_ATOM = 5
-
-
-_NODE_LEVELS = {
-    Eq: _LEVEL_EQ,
-    Add: _LEVEL_ADD,
-    Sub: _LEVEL_ADD,
-    Mul: _LEVEL_MUL,
-    Neg: _LEVEL_UNARY,
-    Pow: _LEVEL_POW,
-}
-
 
 def _render(node: Node, min_level: int) -> str:
-    text: str
-    if isinstance(node, Eq):
-        text = f"{_render(node.lhs, _LEVEL_ADD)} = {_render(node.rhs, _LEVEL_ADD)}"
-    elif isinstance(node, Add):
-        text = f"{_render(node.left, _LEVEL_ADD)} + {_render(node.right, _LEVEL_MUL)}"
-    elif isinstance(node, Sub):
-        text = f"{_render(node.left, _LEVEL_ADD)} - {_render(node.right, _LEVEL_MUL)}"
-    elif isinstance(node, Mul):
-        text = f"{_render(node.left, _LEVEL_MUL)} * {_render(node.right, _LEVEL_UNARY)}"
-    elif isinstance(node, Neg):
-        text = f"-{_render(node.operand, _LEVEL_POW)}"
-    elif isinstance(node, Pow):
-        exponent = node.exponent
-        if isinstance(exponent, IntLit) and exponent.value >= 0:
-            exp_text = str(exponent.value)
-        elif isinstance(exponent, MetaVar):
-            exp_text = exponent.name
-        else:
-            exp_text = f"({_render(exponent, _LEVEL_ADD)})"
-        text = f"{_render(node.base, _LEVEL_ATOM)}^{exp_text}"
-    elif isinstance(node, IntLit):
-        text = str(node.value)
-    elif isinstance(node, VarX):
-        text = "x"
-    elif isinstance(node, VarY):
-        text = "y"
-    elif isinstance(node, VarDelta):
-        text = "D"
-    elif isinstance(node, MetaVar):
-        text = node.name
-    elif isinstance(node, SeqApp):
-        text = f"{node.kind}[{_render(node.index, _LEVEL_ADD)}]"
-        if node.args is not None:
-            text += f"({_render(node.args[0], _LEVEL_ADD)}, {_render(node.args[1], _LEVEL_ADD)})"
-    elif isinstance(node, Binom):
-        text = f"binom({_render(node.upper, _LEVEL_ADD)}, {_render(node.lower, _LEVEL_ADD)})"
-    elif isinstance(node, Sum):
-        text = (
-            f"sum({node.var}={_render(node.low, _LEVEL_ADD)}..{_render(node.high, _LEVEL_ADD)}, "
-            f"{_render(node.body, _LEVEL_ADD)})"
-        )
-    else:
-        raise ValueError(f"cannot render {node!r}")
-    if _NODE_LEVELS.get(type(node), _LEVEL_ATOM) < min_level:
-        return f"({text})"
-    return text
+    text = node._text()
+    return f"({text})" if node.level < min_level else text
 
 
 def render(node: Node) -> str:
@@ -673,7 +683,7 @@ def load_corpus(path=None) -> list[CorpusEntry]:
     if path is None:
         text = importlib.resources.files("fibluc").joinpath("identities.txt").read_text()
     else:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     entries: list[CorpusEntry] = []
     current_id: str | None = None

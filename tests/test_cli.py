@@ -136,6 +136,13 @@ def test_verify_ground_identity_failure_names_no_indices(capsys):
     assert "first counterexample: user: '(x^2 + 4*y) + (0)*D' vs 'x^2 - 4*y'" in out
 
 
+def test_verify_default_grid(capsys):
+    code, out, _ = run_cli(capsys, "verify", "F[n*k]=F[n*k]", "--json")
+    assert code == 0
+    cells = [(record["n"], record["k"]) for record in json.loads(out)]
+    assert cells == [(n, k) for n in range(11) for k in range(1, 7)]
+
+
 def test_verify_doubling(capsys):
     code, out, _ = run_cli(capsys, "verify", "F[2*n] = F[n]*L[n]", "--range", "n=0..12")
     assert code == 0
@@ -220,6 +227,9 @@ def test_nesting_deeper_than_max_depth_is_a_parse_error(capsys, argv):
         assert f"deeper than {MAX_DEPTH} levels" in err
 
 
+_N_TERMS = ["n"] * (MAX_DEPTH - 2)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -228,8 +238,19 @@ def test_nesting_deeper_than_max_depth_is_a_parse_error(capsys, argv):
         # nothing is bound, so no binding is named
         (["verify", "x^(0-1)=1"], "negative exponent -1 in x^(0 - 1)"),
         (["eval", "F", "3", "--xsub", "x^(0-1)"], "negative exponent -1 in x^(0 - 1)"),
+        # F[n+...+n-1] is MAX_DEPTH levels tall, and its index is named in full
+        (
+            ["verify", f"F[{'+'.join(_N_TERMS)}-1] = 0", "--range", "n=0..0"],
+            f"negative sequence index -1 in F[{' + '.join(_N_TERMS)} - 1] at {{n=0}}",
+        ),
     ],
-    ids=["argv0-{n=-3}", "argv1-{n=0}", "verify-nothing-bound", "eval-nothing-bound"],
+    ids=[
+        "argv0-{n=-3}",
+        "argv1-{n=0}",
+        "verify-nothing-bound",
+        "eval-nothing-bound",
+        "verify-deepest-index",
+    ],
 )
 def test_verify_domain_error_exits_2(capsys, argv, message):
     # a negative subscript or exponent is outside the identity's domain, not a counterexample
@@ -280,6 +301,24 @@ def test_verify_corpus_from_explicit_path(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--corpus", str(corpus), "--n-max", "5")
     assert code == 0
     assert "all 5 cells pass" in out
+
+
+def test_verify_corpus_with_byte_order_mark(tmp_path, capsys):
+    corpus = tmp_path / "bom.txt"
+    corpus.write_bytes(b"\xef\xbb\xbf# id: EQ20\r\ny*F[n-1] + F[n+1] = L[n]\r\n")
+    code, out, _ = run_cli(capsys, "verify", "--corpus", str(corpus))
+    assert code == 0
+    assert "all 10 cells pass" in out
+
+
+@pytest.mark.parametrize("text", ["", "# id: EQ20\n\n# only comments\n"])
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_verify_empty_corpus_is_a_usage_error(tmp_path, capsys, text, as_json):
+    corpus = tmp_path / "empty.txt"
+    corpus.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--corpus", str(corpus), *as_json)
+    assert (code, out) == (2, "")
+    assert err == f"error: corpus file {str(corpus)!r} holds no identity lines\n"
 
 
 def test_verify_rejects_identity_plus_corpus(capsys):

@@ -1,5 +1,6 @@
 """Identity-language parsing, evaluation, grid checks, and fuzzing."""
 
+import functools
 import random
 
 import hypothesis.strategies as st
@@ -35,6 +36,7 @@ from fibluc.idlang import (
     SeqApp,
     Sub,
     Sum,
+    VarDelta,
     VarX,
     VarY,
 )
@@ -268,6 +270,58 @@ def test_render_parse_render_fixed_point_on_corpus():
         reparsed = parse(rendered)
         assert reparsed == entry.ast, entry.source
         assert render(reparsed) == rendered
+
+
+def _binary_asts(operand):
+    return st.one_of(st.builds(cls, operand, operand) for cls in (Add, Sub, Mul))
+
+
+@functools.cache
+def _index_asts(names, depth):
+    """Index expressions: integers >= 0, names in scope, unary -, and + - *."""
+    leaves = st.builds(IntLit, st.integers(0, 12)) | st.builds(MetaVar, st.sampled_from(names))
+    if depth == 0:
+        return leaves
+    sub = _index_asts(names, depth - 1)
+    return leaves | st.builds(Neg, sub) | _binary_asts(sub)
+
+
+@functools.cache
+def _expression_asts(names=("k", "n"), depth=4):
+    """Expressions of all 13 kinds, at most depth + 1 levels tall (far below
+    MAX_DEPTH); a sum-bound name appears only inside its sum, and a sum over
+    n shadows the meta-variable."""
+    leaves = (
+        st.sampled_from([VarX(), VarY(), VarDelta()])
+        | st.builds(IntLit, st.integers(0, 12))
+        | st.builds(MetaVar, st.sampled_from(names))
+    )
+    if depth == 0:
+        return leaves
+    sub = _expression_asts(names, depth - 1)
+    index = _index_asts(names, depth - 1)
+    sums = st.one_of(
+        st.builds(Sum, st.just(var), index, index, _expression_asts(scope, depth - 1))
+        for var, scope in (("j", tuple(sorted({*names, "j"}))), ("n", names))
+    )
+    return (
+        leaves
+        | st.builds(Neg, sub)
+        | _binary_asts(sub)
+        | st.builds(Pow, sub, index)
+        | st.builds(Binom, index, index)
+        | sums
+        | st.builds(SeqApp, st.sampled_from("FL"), index, st.none() | st.tuples(sub, sub))
+    )
+
+
+@given(_expression_asts())
+@settings(max_examples=500)
+def test_render_parse_round_trip_on_generated_asts(expression):
+    rendered = render(expression)
+    reparsed = parse_expression(rendered)
+    assert reparsed == expression
+    assert render(reparsed) == rendered
 
 
 def test_render_parenthesizes_only_when_needed():
