@@ -118,20 +118,7 @@ def _parse_ids(text: str | None) -> list[str] | None:
     return ids
 
 
-def _substitution(expr_text: str | None, default):
-    if expr_text is None:
-        return default
-    node = idlang.parse_expression(expr_text)
-    free = idlang.free_meta_vars(node)
-    if free:
-        raise ValueError(
-            f"substitution {expr_text!r} has free meta-variable(s): {', '.join(sorted(free))}"
-        )
-    return idlang.evaluate(node, {})
-
-
 def _cmd_eval(args) -> int:
-    kind = SeqKind(args.kind)
     if args.n < 0:
         raise ValueError("n must be nonnegative")
     if args.at is not None:
@@ -140,14 +127,15 @@ def _cmd_eval(args) -> int:
         x_text, sep, y_text = args.at.partition(",")
         if not sep:
             raise ValueError("--at expects two rationals, e.g. --at 1,1")
-        value = seq(kind, args.n, _parse_rational(x_text), _parse_rational(y_text))
-        print(value)
+        print(seq(SeqKind(args.kind), args.n, _parse_rational(x_text), _parse_rational(y_text)))
         return 0
-    from .poly import X, Y
-
-    x_arg = _substitution(args.xsub, X)
-    y_arg = _substitution(args.ysub, Y)
-    print(canonical_text(seq(kind, args.n, x_arg, y_arg)))
+    x_arg = idlang.VarX() if args.xsub is None else idlang.parse_expression(args.xsub)
+    y_arg = idlang.VarY() if args.ysub is None else idlang.parse_expression(args.ysub)
+    node = idlang.SeqApp(args.kind, idlang.IntLit(args.n), (x_arg, y_arg))
+    free = ", ".join(sorted(idlang.free_meta_vars(node)))
+    if free:
+        raise ValueError(f"{idlang.render(node)} has free meta-variable(s): {free}")
+    print(canonical_text(idlang.evaluate(node, {})))
     return 0
 
 
@@ -210,8 +198,12 @@ def _cmd_verify(args) -> int:
     if corpus_flags:
         raise ValueError(f"{', '.join(corpus_flags)}: only valid with --corpus")
     ast = idlang.parse(args.identity)
+    given = _parse_ranges(args.ranges)
+    unused = sorted(set(given) - idlang.free_meta_vars(ast))
+    if unused:
+        raise ValueError(f"range given for unused meta-variable(s): {', '.join(unused)}")
     ranges = {"n": (0, _N_MAX), "k": (1, _K_MAX)}
-    ranges.update(_parse_ranges(args.ranges))
+    ranges.update(given)
     report = idlang.check(ast, ranges)
     return _emit_report(report, args.json)
 

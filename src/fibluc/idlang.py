@@ -32,6 +32,7 @@ import importlib.resources
 import itertools
 import operator
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Mapping
 
 from ._seqcache import fib_poly, luc_poly
@@ -241,8 +242,6 @@ class Sum(Node):
         low = _eval_index(self.low, env)
         high = _eval_index(self.high, env)
         total = ZERO
-        if low > high:
-            return total
         inner = dict(env)
         for value in range(low, high + 1):
             inner[self.var] = value
@@ -678,13 +677,16 @@ def load_corpus(path=None) -> list[CorpusEntry]:
     """Load the shipped identity corpus (or a corpus file at ``path``).
 
     The file holds one identity per line; ``# id: EQnn`` comment lines bind
-    the following identity lines to catalog case ids.
+    the following identity lines to catalog case ids.  Either file is read
+    as UTF-8, with or without a byte-order mark.
     """
-    if path is None:
-        text = importlib.resources.files("fibluc").joinpath("identities.txt").read_text()
-    else:
-        with open(path, encoding="utf-8-sig") as handle:
-            text = handle.read()
+    source = importlib.resources.files("fibluc") / "identities.txt" if path is None else Path(path)
+    try:
+        text = source.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line_no = exc.object[: exc.start].count(b"\n") + 1
+        problem = f"invalid UTF-8 byte {exc.object[exc.start]:#04x}"
+        raise ValueError(f"corpus file {str(source)!r}, line {line_no}: {problem}") from None
     entries: list[CorpusEntry] = []
     current_id: str | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -695,6 +697,8 @@ def load_corpus(path=None) -> list[CorpusEntry]:
             comment = line[1:].strip()
             if comment.lower().startswith("id:"):
                 current_id = comment[3:].strip()
+                if not current_id:
+                    raise ValueError(f"corpus line {line_no} has an empty '# id:' comment")
             continue
         if current_id is None:
             raise ValueError(f"corpus line {line_no} has no preceding '# id:' comment")

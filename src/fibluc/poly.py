@@ -114,16 +114,10 @@ class BivarPoly:
         return result
 
     def __sub__(self, other: object) -> BivarPoly:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+        return self + (-other)
 
     def __rsub__(self, other: object) -> BivarPoly:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
+        return other + (-self)
 
     def __mul__(self, other: object) -> BivarPoly:
         rhs = self._coerce(other)
@@ -152,9 +146,7 @@ class BivarPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> BivarPoly:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        if len(self._terms) == 1:
+        if len(self._terms) == 1 and isinstance(exponent, int) and exponent >= 0:
             # single monomial: power it directly instead of squaring
             ((i, j), coeff), = self._terms.items()
             return BivarPoly({(i * exponent, j * exponent): coeff**exponent})
@@ -258,9 +250,10 @@ def _packed_product(
 def binary_power(base, exponent: int, one):
     """base**exponent by binary squaring, for any value with ``*``.
 
-    ``one`` is the multiplicative identity of base's ring; the caller
-    checks that the exponent is a nonnegative integer.
+    ``one`` is the multiplicative identity of base's ring.
     """
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
     result = one
     while exponent:
         if exponent & 1:
@@ -338,16 +331,10 @@ class QuadExtElem:
         return QuadExtElem(-self._a, -self._b)
 
     def __sub__(self, other: object) -> QuadExtElem:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+        return self + (-other)
 
     def __rsub__(self, other: object) -> QuadExtElem:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
+        return other + (-self)
 
     def __mul__(self, other: object) -> QuadExtElem:
         rhs = self._coerce(other)
@@ -359,8 +346,6 @@ class QuadExtElem:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> QuadExtElem:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
         return binary_power(self, exponent, QuadExtElem(ONE))
 
     def __eq__(self, other: object) -> bool:

@@ -122,8 +122,6 @@ class PolyMatrix2:
 
 def matrix_pow(m: PolyMatrix2, n: int) -> PolyMatrix2:
     """m**n by binary squaring; n = 0 gives the identity."""
-    if n < 0:
-        raise ValueError(f"matrix power must be nonnegative, got {n}")
     return binary_power(m, n, m.identity_like())
 
 
@@ -168,8 +166,6 @@ BETA = ALPHA.conjugate()
 
 def alpha_power(n: int) -> QuadExtElem:
     """alpha^n written on the (L, F) basis: (L_n + D*F_n) / 2."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
     return QuadExtElem(luc(n) * _HALF, fib(n) * _HALF)
 
 

@@ -58,9 +58,9 @@ def test_eval_composed_substitution(capsys):
 
 
 def test_eval_rejects_free_meta_variables(capsys):
-    code, _, err = run_cli(capsys, "eval", "F", "3", "--xsub", "L[k]")
-    assert code == 2
-    assert "free meta-variable" in err
+    code, out, err = run_cli(capsys, "eval", "F", "3", "--xsub", "L[k]")
+    assert (code, out) == (2, "")
+    assert err == "error: F[3](L[k], y) has free meta-variable(s): k\n"
 
 
 def test_eval_rejects_at_with_substitution(capsys):
@@ -195,6 +195,18 @@ def test_verify_rejects_a_repeated_range_name(capsys, range_args):
     assert code == 2
     assert out == ""
     assert "range for 'n' given twice" in err
+
+
+def test_verify_rejects_a_range_for_an_unused_meta_variable(capsys):
+    code, out, err = run_cli(capsys, "verify", "F[n]=F[n]", "--range", "n=0..2", "--range", "k=1..1")
+    assert (code, out) == (2, "")
+    assert err == "error: range given for unused meta-variable(s): k\n"
+
+
+def test_verify_empty_sum_is_zero(capsys):
+    code, out, _ = run_cli(capsys, "verify", "sum(j=3..1, x) = 0")
+    assert code == 0
+    assert "all 1 cells pass" in out
 
 
 def _groups(depth):
@@ -339,6 +351,22 @@ def test_verify_corpus_line_without_id(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_corpus_rejects_an_empty_id(tmp_path, capsys):
+    corpus = tmp_path / "noid.txt"
+    corpus.write_text("# id:\nF[n] = F[n]\n")
+    code, out, err = run_cli(capsys, "verify", "--corpus", str(corpus), "--n-max", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: corpus line 1 has an empty '# id:' comment\n"
+
+
+def test_verify_corpus_that_is_not_utf8_names_file_and_line(tmp_path, capsys):
+    corpus = tmp_path / "latin1.txt"
+    corpus.write_bytes(b"# id: EQ20\ny*F[n-1] + F[n+1] = L[n]\xff\n")
+    code, out, err = run_cli(capsys, "verify", "--corpus", str(corpus))
+    assert (code, out) == (2, "")
+    assert err == f"error: corpus file {str(corpus)!r}, line 2: invalid UTF-8 byte 0xff\n"
+
+
 def test_verify_whole_shipped_corpus_small_grid(capsys):
     code, out, _ = run_cli(capsys, "verify", "--corpus", "--n-max", "6", "--k-max", "3")
     assert code == 0
@@ -437,6 +465,20 @@ def test_module_runner_smoke():
     )
     assert done.returncode == 0
     assert done.stdout.strip() == "x^5 + 4*x^3*y + 3*x*y^2"
+
+
+def test_shipped_corpus_is_read_as_utf8_whatever_the_locale():
+    import subprocess
+    import sys
+
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        + ["-m", "fibluc", "verify", "--corpus", "--n-max", "2", "--k-max", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.endswith("all 74 cells pass\n")
 
 
 # -- every argv exits 0, 1 or 2 ----------------------------------------------------

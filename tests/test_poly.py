@@ -1,6 +1,7 @@
 """Exact polynomial and extension-ring arithmetic."""
 
 from fractions import Fraction
+from itertools import product
 
 import hypothesis.strategies as st
 import pytest
@@ -22,7 +23,7 @@ from fibluc import (
     seq,
 )
 from fibluc._seqcache import fib_poly, luc_poly
-from fibluc.poly import _packed_product
+from fibluc.poly import _packed_product, binary_power
 from oracles import d_mul, poly_fib, poly_luc
 
 # Random sparse polynomials: at most 8 terms, exponents <= 6, coefficients
@@ -189,6 +190,17 @@ def test_pow_rejects_negative_exponent():
         X**-1
     with pytest.raises(ValueError):
         DELTA**-2
+    for power in (lambda: (X + Y) ** -1, lambda: X**1.5, lambda: DELTA**-1):
+        with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+            power()
+
+
+def test_binary_power_checks_the_exponent_before_any_product():
+    # every caller relies on this check: a negative exponent left unchecked
+    # keeps the squaring loop running without end.  The base has no ``*``,
+    # so the test fails fast (TypeError) if any product comes first.
+    with pytest.raises(ValueError, match="exponent must be a nonnegative integer, got -1"):
+        binary_power(object(), -1, ONE)
 
 
 def test_constructor_rejects_bad_exponents():
@@ -340,6 +352,29 @@ def test_constants_hash_like_the_number_they_equal(value, number):
     assert value == number
     assert hash(value) == hash(number)
     assert len({value, number}) == 1
+
+
+# Subtraction is addition of the negation; the result lives in the larger
+# ring of the two operands, in this order.
+_RINGS = [int, Fraction, BivarPoly, QuadExtElem]
+_OPERANDS = [5, Fraction(-3, 4), X * X - 2 * Y + 1, QuadExtElem(X, Y - 3)]
+
+
+@pytest.mark.parametrize("a, b", list(product(_OPERANDS, repeat=2)))
+def test_subtraction_over_every_pair_of_ring_types(a, b):
+    difference = a - b
+    assert difference == a + (-b)
+    assert type(difference) is max(type(a), type(b), key=_RINGS.index)
+
+
+@pytest.mark.parametrize(
+    "subtract",
+    [lambda: X - "a", lambda: "a" - X, lambda: DELTA - 1.5, lambda: 1.5 - DELTA],
+    ids=["poly-str", "str-poly", "ext-float", "float-ext"],
+)
+def test_subtracting_a_non_ring_operand_raises_type_error(subtract):
+    with pytest.raises(TypeError):
+        subtract()
 
 
 # -- ring axioms -----------------------------------------------------------------------

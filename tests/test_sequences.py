@@ -148,6 +148,11 @@ def test_matrix_pow_small_cases():
     assert matrix_pow(matrix_B(), 2).e12 == X * (X * X + 4 * Y)
 
 
+def test_matrix_pow_rejects_a_negative_exponent():
+    with pytest.raises(ValueError, match="exponent must be a nonnegative integer, got -1"):
+        matrix_pow(matrix_A(), -1)
+
+
 def test_matrix_entry_display():
     # A^n = [[F(n+1), F(n)], [y F(n), y F(n-1)]] for n >= 1
     for n in range(1, 9):
@@ -235,6 +240,12 @@ def test_alpha_seed_values():
     assert alpha_power(1) == ALPHA
     assert alpha_power(0) == QuadExtElem(ONE, ZERO)
     assert beta_power(1) == BETA
+
+
+def test_root_power_rejects_a_negative_index():
+    # the index is checked once, by the sequence alpha_power reads L and F from
+    with pytest.raises(ValueError, match="sequence index must be nonnegative, got -1"):
+        alpha_power(-1)
 
 
 def test_root_power_decomposition():
