@@ -2,20 +2,21 @@
 catalog, verify user-stated identities, and emit numeric specializations.
 
 Exit codes: 0 when every requested check passes, 1 when at least one
-identity cell fails, 2 for usage, parse, or domain errors.
+identity cell fails, 2 for usage, parse, or domain errors, 141 when stdout
+is closed before the output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import islice
 
 from . import idlang
 from .identities import catalog_by_id, check_grid_bounds, run_catalog
-from .poly import canonical_text
 from .report import CheckReport, select_ids
 from .sequences import SeqKind, seq, seq_terms
 
@@ -135,7 +136,7 @@ def _cmd_eval(args) -> int:
     free = ", ".join(sorted(idlang.free_meta_vars(node)))
     if free:
         raise ValueError(f"{idlang.render(node)} has free meta-variable(s): {free}")
-    print(canonical_text(idlang.evaluate(node, {})))
+    print(idlang.evaluate(node, {}))
     return 0
 
 
@@ -229,10 +230,19 @@ def main(argv: list[str] | None = None) -> int:
         "sequence": _cmd_sequence,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
     except idlang.ParseError as exc:
         print(f"parse error at {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to devnull, so the
+        # interpreter's final flush cannot fail, and exit as SIGPIPE would (128 + 13)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,7 +36,7 @@ _MAT_ZERO = PolyMatrix2(ZERO, ZERO, ZERO, ZERO)
 
 @dataclass(frozen=True)
 class IdentityCase:
-    """One verifiable identity: id, index arity and minima, two side evaluators.
+    """One verifiable identity: id, whether it binds k, index minima, two side evaluators.
 
     Evaluators take the bound indices (n, or n and k) and return a ring
     value, a matrix, or a tuple of ring values for multi-part statements.
@@ -44,15 +44,11 @@ class IdentityCase:
 
     case_id: str
     description: str
-    arity: tuple[str, ...]
+    is_binary: bool
     n_min: int
     k_min: int
     lhs: Callable
     rhs: Callable
-
-    @property
-    def is_binary(self) -> bool:
-        return len(self.arity) == 2
 
 
 # -- shared building blocks -------------------------------------------------
@@ -109,10 +105,10 @@ def build_catalog() -> list[IdentityCase]:
     """The 31 cases EQ01..EQ31, in order."""
 
     def unary(case_id, description, n_min, lhs, rhs):
-        return IdentityCase(case_id, description, ("n",), n_min, 0, lhs, rhs)
+        return IdentityCase(case_id, description, False, n_min, 0, lhs, rhs)
 
     def binary(case_id, description, n_min, k_min, lhs, rhs):
-        return IdentityCase(case_id, description, ("n", "k"), n_min, k_min, lhs, rhs)
+        return IdentityCase(case_id, description, True, n_min, k_min, lhs, rhs)
 
     return [
         unary(

@@ -124,6 +124,10 @@ class VarDelta(_Symbol):
     _value, _symbol = DELTA, "D"
 
 
+#: The generator node classes by the name that spells them.
+_SYMBOLS = {cls._symbol: cls for cls in (VarX, VarY, VarDelta)}
+
+
 @dataclass(frozen=True)
 class MetaVar(Node):
     name: str
@@ -309,10 +313,9 @@ class Eq(Node):
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # INT NAME PUNCT EOF
+    kind: str  # INT, NAME, EOF, or the punctuation mark itself
     text: str
-    line: int
-    col: int
+    pos: int  # offset in the source
 
 
 _PUNCT = set("+-*^()[],=")
@@ -321,53 +324,46 @@ _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_BODY = _NAME_START | _DIGITS
 
 
+def _position(source: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of the offset ``pos`` in ``source``."""
+    return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
+
+
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
     i = 0
     length = len(source)
     while i < length:
         ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
         if ch.isspace():
-            col += 1
             i += 1
             continue
-        start_col = col
         if ch in _DIGITS:
             j = i
             while j < length and source[j] in _DIGITS:
                 j += 1
-            tokens.append(_Token("INT", source[i:j], line, start_col))
-            col += j - i
+            tokens.append(_Token("INT", source[i:j], i))
             i = j
             continue
         if ch in _NAME_START:
             j = i
             while j < length and source[j] in _NAME_BODY:
                 j += 1
-            tokens.append(_Token("NAME", source[i:j], line, start_col))
-            col += j - i
+            tokens.append(_Token("NAME", source[i:j], i))
             i = j
             continue
         if ch == ".":
             if i + 1 < length and source[i + 1] == ".":
-                tokens.append(_Token("PUNCT", "..", line, start_col))
-                col += 2
+                tokens.append(_Token("..", "..", i))
                 i += 2
                 continue
-            raise ParseError("unexpected character '.'", line, start_col)
+            raise ParseError("unexpected character '.'", *_position(source, i))
         if ch in _PUNCT:
-            tokens.append(_Token("PUNCT", ch, line, start_col))
-            col += 1
+            tokens.append(_Token(ch, ch, i))
             i += 1
             continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("EOF", "", line, col))
+        raise ParseError(f"unexpected character {ch!r}", *_position(source, i))
+    tokens.append(_Token("EOF", "", length))
     return tokens
 
 
@@ -376,6 +372,7 @@ def _tokenize(source: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, source: str) -> None:
+        self._source = source
         self._tokens = _tokenize(source)
         self._pos = 0
         self._scope: list[str] = []
@@ -395,26 +392,26 @@ class _Parser:
 
     def _error(self, message: str, token: _Token | None = None) -> ParseError:
         token = token or self._peek()
-        return ParseError(message, token.line, token.col)
+        return ParseError(message, *_position(self._source, token.pos))
 
-    def _match(self, text: str) -> bool:
+    def _shown(self) -> str:
+        """The next token as an error message shows it."""
         token = self._peek()
-        if token.kind == "PUNCT" and token.text == text:
+        return repr(token.text if token.kind != "EOF" else "end of input")
+
+    def _match(self, mark: str) -> bool:
+        if self._peek().kind == mark:
             self._advance()
             return True
         return False
 
-    def _expect(self, text: str) -> _Token:
-        token = self._peek()
-        if token.kind == "PUNCT" and token.text == text:
-            return self._advance()
-        shown = token.text if token.kind != "EOF" else "end of input"
-        raise self._error(f"expected '{text}', found {shown!r}")
+    def _expect(self, mark: str) -> None:
+        if not self._match(mark):
+            raise self._error(f"expected '{mark}', found {self._shown()}")
 
     def _expect_end(self) -> None:
-        token = self._peek()
-        if token.kind != "EOF":
-            raise self._error(f"unexpected trailing input {token.text!r}")
+        if self._peek().kind != "EOF":
+            raise self._error(f"unexpected trailing input {self._shown()}")
 
     def _build(self, cls: type, *fields) -> Node:
         """``cls(*fields)``, unless the new node would make the tree taller
@@ -490,20 +487,15 @@ class _Parser:
         if token.kind == "INT":
             self._advance()
             return IntLit(int(token.text))
-        if token.kind == "PUNCT" and token.text == "(":
-            self._advance()
+        if self._match("("):
             inner = self._expr()
             self._expect(")")
             return inner
         if token.kind == "NAME":
             self._advance()
             name = token.text
-            if name == "x":
-                return VarX()
-            if name == "y":
-                return VarY()
-            if name == "D":
-                return VarDelta()
+            if name in _SYMBOLS:
+                return _SYMBOLS[name]()
             if name in ("F", "L"):
                 return self._seqapp(name, token)
             if name == "binom":
@@ -511,8 +503,7 @@ class _Parser:
             if name == "sum":
                 return self._sum(token)
             return self._index_name(token)
-        shown = token.text if token.kind != "EOF" else "end of input"
-        raise self._error(f"expected an expression, found {shown!r}")
+        raise self._error(f"expected an expression, found {self._shown()}")
 
     def _seqapp(self, kind: str, token: _Token) -> SeqApp:
         if not self._match("["):
@@ -563,7 +554,7 @@ class _Parser:
         name = token.text
         if name in self._scope or name in META_VARS:
             return MetaVar(name)
-        raise ParseError(f"unknown name '{name}'", token.line, token.col)
+        raise self._error(f"unknown name '{name}'", token)
 
     def _ixatom(self, expected: str = "an index expression") -> Node:
         token = self._peek()
@@ -573,13 +564,11 @@ class _Parser:
         if token.kind == "NAME":
             self._advance()
             return self._index_name(token)
-        if token.kind == "PUNCT" and token.text == "(":
-            self._advance()
+        if self._match("("):
             inner = self._ixexpr()
             self._expect(")")
             return inner
-        shown = token.text if token.kind != "EOF" else "end of input"
-        raise self._error(f"expected {expected}, found {shown!r}")
+        raise self._error(f"expected {expected}, found {self._shown()}")
 
 
 def parse(source: str) -> Eq:

@@ -190,10 +190,26 @@ class BivarPoly:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        return canonical_text(self)
+        """Deterministic rendering; equal polynomials produce identical strings.
+
+        Term order is x-exponent descending, then y-exponent descending, so
+        that e.g. ``x - y^2`` puts the x term first.  Unit coefficients and
+        unit exponents are elided; rationals print as ``p/q``.
+        """
+        if not self._terms:
+            return "0"
+        pieces: list[str] = []
+        for mono, coeff in sorted(self._terms.items(), key=lambda kv: (-kv[0][0], -kv[0][1])):
+            negative = coeff < 0
+            body = _term_text(mono, -coeff if negative else coeff)
+            if not pieces:
+                pieces.append(f"-{body}" if negative else body)
+            else:
+                pieces.append(f" - {body}" if negative else f" + {body}")
+        return "".join(pieces)
 
     def __repr__(self) -> str:
-        return f"BivarPoly({canonical_text(self)})"
+        return f"BivarPoly({self})"
 
 
 #: Fewest terms in each operand, and fewest term pairs, for which
@@ -363,10 +379,10 @@ class QuadExtElem:
         return bool(self._a) or bool(self._b)
 
     def __str__(self) -> str:
-        return canonical_text(self)
+        return f"({self._a}) + ({self._b})*D"
 
     def __repr__(self) -> str:
-        return f"QuadExtElem({canonical_text(self._a)}, {canonical_text(self._b)})"
+        return f"QuadExtElem({self._a}, {self._b})"
 
 
 #: The adjoined square root of x^2 + 4y.
@@ -389,26 +405,10 @@ def _term_text(mono: Monomial, magnitude: _Coeff) -> str:
 
 
 def canonical_text(value) -> str:
-    """Deterministic rendering; equal values produce identical strings.
+    """Deterministic rendering of a ring value or rational: its ``str``.
 
-    Term order is x-exponent descending, then y-exponent descending, so that
-    e.g. ``x - y^2`` puts the x term first.  Unit coefficients and unit
-    exponents are elided; rationals print as ``p/q``.
+    Equal values produce identical strings.
     """
-    if isinstance(value, QuadExtElem):
-        return f"({canonical_text(value.a)}) + ({canonical_text(value.b)})*D"
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    if not isinstance(value, BivarPoly):
+    if not isinstance(value, (BivarPoly, QuadExtElem, int, Fraction)):
         raise TypeError(f"cannot render {value!r}")
-    if value.is_zero():
-        return "0"
-    pieces: list[str] = []
-    for mono, coeff in sorted(value._terms.items(), key=lambda kv: (-kv[0][0], -kv[0][1])):
-        negative = coeff < 0
-        body = _term_text(mono, -coeff if negative else coeff)
-        if not pieces:
-            pieces.append(f"-{body}" if negative else body)
-        else:
-            pieces.append(f" - {body}" if negative else f" + {body}")
-    return "".join(pieces)
+    return str(value)

@@ -21,7 +21,7 @@ from itertools import islice
 from math import comb
 from typing import Iterator
 
-from .poly import ONE, QuadExtElem, X, Y, ZERO, binary_power, canonical_text
+from .poly import ONE, QuadExtElem, X, Y, ZERO, binary_power
 
 
 class SeqKind(Enum):
@@ -116,8 +116,7 @@ class PolyMatrix2:
         return PolyMatrix2(one, zero, zero, one)
 
     def __str__(self) -> str:
-        e11, e12, e21, e22 = map(canonical_text, (self.e11, self.e12, self.e21, self.e22))
-        return f"[[{e11}, {e12}], [{e21}, {e22}]]"
+        return f"[[{self.e11}, {self.e12}], [{self.e21}, {self.e22}]]"
 
 
 def matrix_pow(m: PolyMatrix2, n: int) -> PolyMatrix2:

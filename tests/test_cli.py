@@ -2,13 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from fibluc.cli import main
+from fibluc.cli import main, run
 from fibluc.idlang import MAX_DEPTH
 from oracles import int_seq
 
@@ -66,6 +69,12 @@ def test_eval_rejects_free_meta_variables(capsys):
 def test_eval_rejects_at_with_substitution(capsys):
     code, _, err = run_cli(capsys, "eval", "F", "3", "--xsub", "x", "--at", "1,1")
     assert code == 2
+
+
+def test_eval_at_needs_two_rationals(capsys):
+    code, out, err = run_cli(capsys, "eval", "F", "3", "--at", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --at expects two rationals, e.g. --at 1,1\n"
 
 
 def test_eval_delta_substitution(capsys):
@@ -162,6 +171,12 @@ def test_verify_combined_range_flag(capsys):
     assert "all 6 cells pass" in out
 
 
+def test_verify_range_list_may_end_in_a_comma(capsys):
+    code, out, _ = run_cli(capsys, "verify", "F[n]=F[n]", "--range", "n=0..2,")
+    assert code == 0
+    assert "all 3 cells pass" in out
+
+
 def test_verify_bad_range(capsys):
     code, _, err = run_cli(capsys, "verify", "F[n]=F[n]", "--range", "n=0-3")
     assert code == 2
@@ -173,6 +188,7 @@ def test_verify_bad_range(capsys):
         ("n=5..2", "empty range 'n=5..2'"),
         ("m=0..3", "unknown range name 'm'"),
         ("n=0..3,m=0..3", "unknown range name 'm'"),
+        ("n=0..a", "bad range bounds in 'n=0..a'"),
     ],
 )
 def test_verify_rejects_empty_or_unknown_ranges(capsys, spec, message):
@@ -255,6 +271,10 @@ _N_TERMS = ["n"] * (MAX_DEPTH - 2)
             ["verify", f"F[{'+'.join(_N_TERMS)}-1] = 0", "--range", "n=0..0"],
             f"negative sequence index -1 in F[{' + '.join(_N_TERMS)} - 1] at {{n=0}}",
         ),
+        (
+            ["verify", "binom(n-3,1)=0", "--range", "n=0..0"],
+            "negative binomial index -3 in binom(n - 3, 1) at {n=0}",
+        ),
     ],
     ids=[
         "argv0-{n=-3}",
@@ -262,6 +282,7 @@ _N_TERMS = ["n"] * (MAX_DEPTH - 2)
         "verify-nothing-bound",
         "eval-nothing-bound",
         "verify-deepest-index",
+        "verify-binomial",
     ],
 )
 def test_verify_domain_error_exits_2(capsys, argv, message):
@@ -452,6 +473,37 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_run_exits_with_the_status_of_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["fibluc", "eval", "L", "1"])
+    with pytest.raises(SystemExit) as info:
+        run()
+    assert info.value.code == 0
+    assert capsys.readouterr().out == "x\n"
+
+
+def test_a_closed_stdout_exits_141_without_a_message(monkeypatch, capsys):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = main(["sequence", "F", "--x", "1", "--y", "1", "--count", "3"])
+        monkeypatch.undo()
+    assert (code, capsys.readouterr().err) == (141, "")
+
+
+def test_a_reader_that_goes_away_ends_the_output_with_status_141():
+    # as in `fibluc sequence ... | head -1`; the output is far larger than a pipe's buffer
+    argv = ["sequence", "F", "--x", "1", "--y", "1", "--count", "100000"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "fibluc", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.readline() == b"0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (141, b"")
 
 
 def test_module_runner_smoke():

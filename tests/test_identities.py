@@ -40,6 +40,15 @@ def test_catalog_arities_and_minima():
             assert case.k_min >= 1  # composed y-arguments need k >= 1
 
 
+def test_a_case_stores_whether_it_is_binary():
+    # which cases are binary is pinned above; here, that it is a stored bool
+    # field, which a copy can set, not a property derived from other fields
+    cases = build_catalog()
+    assert all(type(case.is_binary) is bool for case in cases)
+    flipped = [replace(case, is_binary=not case.is_binary) for case in cases]
+    assert [case.is_binary for case in flipped] == [not case.is_binary for case in cases]
+
+
 def test_eq04_single_term_cell():
     # n=1 collapses the sum to x * C(1,0) = x = F_2
     result = check_case(catalog_by_id()["EQ04"], 1)

@@ -151,6 +151,24 @@ def test_error_column_points_at_offender():
     assert (info.value.line, info.value.col) == (1, 5)
 
 
+@pytest.mark.parametrize(
+    "source, line, col, message",
+    [
+        # a tab is one column, and a line starts after its "\n" whatever precedes it
+        ("F[n] = F[n] +\n\t ?", 2, 3, "unexpected character '?'"),
+        ("F[n] = F[n]\r\n  + )", 2, 5, "expected an expression, found ')'"),
+        ("x.y", 1, 2, "unexpected character '.'"),
+        ("F[n] =\n  F[n", 2, 6, "expected ']', found 'end of input'"),
+        ("sum(j=0..n,\n  x) +\n  j = x", 3, 3, "unknown name 'j'"),
+    ],
+    ids=["tab", "crlf", "single-dot", "end-of-input", "unknown-name"],
+)
+def test_error_positions_count_lines_and_columns(source, line, col, message):
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
+
+
 # -- evaluation -----------------------------------------------------------------
 
 
@@ -254,6 +272,11 @@ def test_sum_variable_shadows_meta_variable():
     # the bound n hides the meta-variable n inside the sum body
     value = evaluate(parse_expression("sum(n=0..2, y^n)"), {"n": 5})
     assert canonical_text(value) == "y^2 + y + 1"
+
+
+def test_evaluate_rejects_an_identity():
+    with pytest.raises(ValueError, match="cannot evaluate an identity"):
+        evaluate(parse("x = y"), {})
 
 
 def test_check_rejects_bare_expression():

@@ -377,6 +377,33 @@ def test_subtracting_a_non_ring_operand_raises_type_error(subtract):
         subtract()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: QuadExtElem("a"), lambda: DELTA * "a"],
+    ids=["component", "product"],
+)
+def test_a_non_ring_operand_of_the_extension_raises_type_error(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_extension_element_never_equals_a_non_ring_value():
+    assert (DELTA == "a") is False
+
+
+def test_extension_element_with_a_d_part_hashes_like_its_equal():
+    assert hash(DELTA * X) == hash(QuadExtElem(ZERO, X))
+
+
+@pytest.mark.parametrize(
+    "value, truth",
+    [(ZERO, False), (X, True), (QuadExtElem(), False), (DELTA, True)],
+    ids=["zero", "x", "extension-zero", "delta"],
+)
+def test_truth_value_is_being_nonzero(value, truth):
+    assert bool(value) is truth
+
+
 # -- ring axioms -----------------------------------------------------------------------
 
 
@@ -423,6 +450,17 @@ def test_text_extension_format():
     assert canonical_text(DELTA) == "(0) + (1)*D"
     half = Fraction(1, 2)
     assert canonical_text(QuadExtElem(X * half, ONE * half)) == "(1/2*x) + (1/2)*D"
+
+
+def test_text_of_a_rational_and_of_a_non_ring_value():
+    assert canonical_text(Fraction(-1, 3)) == "-1/3"
+    with pytest.raises(TypeError, match="cannot render 'x'"):
+        canonical_text("x")
+
+
+def test_repr_wraps_the_canonical_text():
+    assert repr(X + 1) == "BivarPoly(x + 1)"
+    assert repr(DELTA) == "QuadExtElem(0, 1)"
 
 
 @given(polys)

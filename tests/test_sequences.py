@@ -53,6 +53,11 @@ def test_negative_index_rejected():
         seq(SeqKind.FIB, -1)
 
 
+def test_cached_table_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="index must be nonnegative, got -1"):
+        fib_poly(-1)
+
+
 def test_symbolic_terms_match_oracle():
     for n in range(0, 25):
         assert fib(n).terms == poly_fib(n)
@@ -162,6 +167,11 @@ def test_matrix_entry_display():
         assert power.e22 == Y * fib(n - 1)
 
 
+def test_scalar_acts_from_either_side_and_matrix_renders_its_entries():
+    assert 2 * matrix_A() == matrix_A() * 2 == PolyMatrix2(2 * X, 2, 2 * Y, 0)
+    assert str(matrix_A()) == "[[x, 1], [y, 0]]"
+
+
 def test_matrix_mul_associative_identity_neutral():
     a, b = matrix_A(), matrix_B()
     c = matrix_BA()
@@ -220,6 +230,11 @@ def test_binomial_values():
 
 def test_entry_factor_base_case():
     assert power_entry_factor(X, -Y, 0) == ONE
+
+
+def test_entry_factor_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="index must be nonnegative, got -1"):
+        power_entry_factor(X, Y, -1)
 
 
 @pytest.mark.parametrize("name,matrix", [("A", matrix_A()), ("B", matrix_B()), ("BA", matrix_BA())])
