@@ -3,7 +3,9 @@
 The identity catalog and the identity-language evaluator both reference
 F and L at indices up to a few hundred, many times per run; recomputing
 each one from scratch would dominate the runtime.  The tables live here,
-outside the generator module, which stays cache-free.
+outside the generator module, and keep every term they have computed;
+:func:`~fibluc.sequences.seq` itself keeps only the last two terms of a few
+recent walks.
 """
 
 from __future__ import annotations

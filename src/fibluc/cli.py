@@ -221,6 +221,19 @@ def _cmd_sequence(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7 there is no limit
+        return _run_command(argv)
+    # exact results may run past the interpreter's int-to-str digit limit;
+    # lift it for the command alone, so library callers keep their own
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run_command(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run_command(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {

@@ -8,25 +8,41 @@ deliberately generic over its arguments so the same code produces classic
 polynomials, polynomials composed with other polynomials, extension-ring
 values, and plain integer or rational specializations.
 
-No function here keeps state between calls; everything is safe to invoke
-concurrently.
+:func:`seq` keeps one piece of state: for each of the last 64 argument pairs
+it was called with, the last two terms of its most recent walk, so a request
+at the same or a higher index steps on from there.  Those terms stay alive
+until 64 other pairs have been used since.  One lock guards that table, so
+everything here is safe to invoke concurrently.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
 from math import comb
 from typing import Iterator
 
-from .poly import ONE, QuadExtElem, X, Y, ZERO, binary_power
+from .poly import ONE, BivarPoly, QuadExtElem, X, Y, ZERO, binary_power
 
 
 class SeqKind(Enum):
     FIB = "F"
     LUC = "L"
+
+
+def _seeds(kind: SeqKind, x_arg) -> tuple:
+    """(u_0, u_1): (0, 1) for F and (2, x_arg) for L, in the ring of x_arg."""
+    one = x_arg**0
+    if kind is SeqKind.FIB:
+        return one * 0, one
+    return one * 2, x_arg
+
+
+def _next_term(x_arg, y_arg, u_prev, u_cur):
+    """u_{m+1} from u_{m-1} and u_m: the one step of the recurrence."""
+    return x_arg * u_cur + y_arg * u_prev
 
 
 def seq_terms(kind: SeqKind, x_arg=X, y_arg=Y) -> Iterator:
@@ -37,22 +53,64 @@ def seq_terms(kind: SeqKind, x_arg=X, y_arg=Y) -> Iterator:
     computed exactly in whatever ring they span.  Each term is computed only
     when it is requested, never one ahead.
     """
-    one = x_arg**0
-    if kind is SeqKind.FIB:
-        u_prev, u_cur = one * 0, one
-    else:
-        u_prev, u_cur = one * 2, x_arg
+    u_prev, u_cur = _seeds(kind, x_arg)
     yield u_prev
     while True:
         yield u_cur
-        u_prev, u_cur = u_cur, x_arg * u_cur + y_arg * u_prev
+        u_prev, u_cur = u_cur, _next_term(x_arg, y_arg, u_prev, u_cur)
+
+
+#: Argument pairs whose last walk :func:`seq` keeps; the least recently used goes first.
+#: A catalog grid keeps about 1.5 pairs live per k (the (10,6) grid needs 12,
+#: k up to 20 needs 32), so this serves k ranges up to about 40; a wider one
+#: cycles through more pairs than this and restarts every walk.
+_WALKS_MAX = 64
+_walks_lock = threading.Lock()
+# (kind, _types(x_arg), x_arg, _types(y_arg), y_arg) -> (m, u_{m-1}, u_m), oldest use first
+_walks: dict = {}
+
+
+def _types(value):
+    """The type of value, with the coefficient types of a ring element.
+
+    Equal values can differ here (x with coefficient 1 or Fraction(1)), and
+    their terms would differ in the same way.
+    """
+    kind = type(value)
+    if kind is QuadExtElem:
+        return kind, _types(value.a), _types(value.b)
+    if kind is BivarPoly:
+        return kind, frozenset(map(type, value.terms.values()))
+    return kind
 
 
 def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
-    """n-th term of :func:`seq_terms`."""
+    """n-th term of :func:`seq_terms`, stepped on from this pair's last walk.
+
+    A walk is keyed by the kind and the argument pair with their types and
+    coefficient types, so only arguments that compute alike share one, and
+    the arguments must be hashable.  A request below the walk's last two
+    terms restarts from the seeds.  The walk is taken out of the table while
+    it steps, so one that is interrupted is dropped, not left half done.
+    A walk holds its last two terms until 64 other pairs have been used
+    since: ``seq(FIB, 100000)`` keeps F_99999 and F_100000 alive until then.
+    """
     if n < 0:
         raise ValueError(f"sequence index must be nonnegative, got {n}")
-    return next(islice(seq_terms(kind, x_arg, y_arg), n, None))
+    key = (kind, _types(x_arg), x_arg, _types(y_arg), y_arg)
+    with _walks_lock:
+        walk = _walks.pop(key, None)
+    if walk is None or walk[0] - 1 > n:
+        walk = (1, *_seeds(kind, x_arg))
+    m, u_prev, u_cur = walk
+    while m < n:
+        u_prev, u_cur = u_cur, _next_term(x_arg, y_arg, u_prev, u_cur)
+        m += 1
+    with _walks_lock:
+        _walks[key] = (m, u_prev, u_cur)
+        if len(_walks) > _WALKS_MAX:
+            del _walks[next(iter(_walks))]
+    return u_cur if m == n else u_prev
 
 
 def fib(n: int, x_arg=X, y_arg=Y):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 
 import hypothesis.strategies as st
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 
 from fibluc.cli import main, run
 from fibluc.idlang import MAX_DEPTH
+from fibluc.sequences import SeqKind, seq
 from oracles import int_seq
 
 
@@ -41,6 +43,36 @@ def test_eval_at_point(capsys):
     code, out, _ = run_cli(capsys, "eval", "F", "10", "--at", "1,1")
     assert code == 0
     assert out.strip() == "55"
+
+
+def test_results_past_the_int_to_str_digit_limit_are_printed(capsys):
+    code, out, err = run_cli(capsys, "eval", "F", "25000", "--at", "1,1")
+    assert (code, err) == (0, "")
+    # Decimal reads and compares the digits without the interpreter's limit on int/str
+    assert len(out.strip()) == 5225
+    assert Decimal(out) == seq(SeqKind.FIB, 25000, 1, 1)
+
+
+def test_the_digit_limit_is_lifted_for_the_command_alone(capsys):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    assert run_cli(capsys, "eval", "F", "6", "--at", "1,1") == (0, "8\n", "")
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_an_interpreter_without_the_digit_limit_runs_the_command(monkeypatch, capsys):
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert run_cli(capsys, "eval", "F", "6", "--at", "1,1") == (0, "8\n", "")
+
+
+def test_a_long_sequence_is_printed_past_the_digit_limit(monkeypatch, capsys):
+    # term 20578 of F(1, 1) is the first with more than 4300 digits
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        code = main(["sequence", "F", "--x", "1", "--y", "1", "--count", "21000"])
+        monkeypatch.undo()
+    assert (code, capsys.readouterr().err) == (0, "")
 
 
 def test_eval_identity_substitution_is_byte_identical(capsys):

@@ -1,5 +1,7 @@
 """Generators, companion matrices, and the power-entry closed form."""
 
+import sys
+import threading
 from fractions import Fraction
 from itertools import islice
 
@@ -32,7 +34,7 @@ from fibluc import (
     seq,
     seq_terms,
 )
-from fibluc import _seqcache
+from fibluc import _seqcache, sequences
 from fibluc._seqcache import fib_poly, luc_poly
 from oracles import int_seq, poly_fib, poly_luc
 
@@ -103,6 +105,153 @@ def test_terms_are_computed_only_when_requested():
     steps.clear()
     assert list(islice(seq_terms(SeqKind.LUC, CountingInt(1), 1), 3)) == [2, 1, 3]
     assert len(steps) == 1  # u_2 only, not u_3
+
+
+# -- seq resumes the last walk of each argument pair ---------------------------------
+
+_PAIRS = [
+    (1, 1),
+    (2, -3),
+    (Fraction(1, 2), Fraction(3)),
+    (X, Y),
+    (ONE, ONE),
+    (luc_poly(2), -(Y**2)),
+    (X * X + 2 * Y, -(Y**2)),
+    *((DELTA * fib_poly(k), (-Y) ** k) for k in (1, 2, 3)),
+    (QuadExtElem(X, ZERO), Y),
+    # equal to (X, Y) and (QuadExtElem(X, ZERO), Y), with Fraction coefficients
+    (BivarPoly({(1, 0): Fraction(1)}), Y),
+    (QuadExtElem(BivarPoly({(1, 0): Fraction(1)}), ZERO), Y),
+]
+_TERMS = {
+    (kind, i): list(islice(seq_terms(kind, *pair), 41))
+    for kind in SeqKind
+    for i, pair in enumerate(_PAIRS)
+}
+
+
+_REQUEST = st.tuples(st.sampled_from(SeqKind), st.integers(0, 40), st.integers(0, len(_PAIRS) - 1))
+
+
+def _types(value):
+    """The type of a value, down to the type of each polynomial coefficient."""
+    if isinstance(value, QuadExtElem):
+        return QuadExtElem, _types(value.a), _types(value.b)
+    if isinstance(value, BivarPoly):
+        return BivarPoly, sorted((m, type(c).__name__) for m, c in value.terms.items())
+    return type(value)
+
+
+@given(st.lists(_REQUEST))
+def test_any_run_of_requests_gives_the_generator_terms(requests):
+    for kind, n, i in requests:
+        value = seq(kind, n, *_PAIRS[i])
+        expected = _TERMS[kind, i][n]
+        assert value == expected
+        assert _types(value) == _types(expected)
+
+
+def test_equal_arguments_of_different_types_walk_apart():
+    assert type(seq(SeqKind.FIB, 5, 1, 1)) is int
+    assert type(seq(SeqKind.FIB, 5, ONE, ONE)) is BivarPoly
+    assert type(seq(SeqKind.FIB, 3, X, Y)) is BivarPoly
+    assert type(seq(SeqKind.FIB, 3, QuadExtElem(X, ZERO), Y)) is QuadExtElem
+
+
+def test_equal_polynomials_with_other_coefficient_types_walk_apart():
+    rational_x = BivarPoly({(1, 0): Fraction(1)})
+    assert rational_x == X and hash(rational_x) == hash(X)
+    assert seq(SeqKind.LUC, 7, rational_x, Y) == seq(SeqKind.LUC, 7, X, Y)
+    assert all(type(c) is int for c in seq(SeqKind.LUC, 7, X, Y).terms.values())
+    assert all(type(c) is Fraction for c in seq(SeqKind.LUC, 8, rational_x, Y).terms.values())
+
+
+def counting_one():
+    """An int 1 of a class of its own, and the list of recurrence steps it takes as x."""
+    steps = []
+
+    class CountingInt(int):
+        def __mul__(self, other):
+            steps.append(other)
+            return int(self) * other
+
+    return CountingInt(1), steps
+
+
+def test_ascending_requests_step_on_from_the_last_walk():
+    one, steps = counting_one()
+    fibs = int_seq(0, 1, 1, 1, 31)
+    for n in range(31):
+        assert seq(SeqKind.FIB, n, one, 1) == fibs[n]
+    assert len(steps) == 29  # u_2 .. u_30 once each, not 1 + 2 + ... + 29
+    steps.clear()
+    assert seq(SeqKind.FIB, 29, one, 1) == fibs[29]  # the walk's previous term
+    assert seq(SeqKind.FIB, 30, one, 1) == fibs[30]
+    assert steps == []
+    assert seq(SeqKind.FIB, 10, one, 1) == fibs[10]
+    assert len(steps) == 9  # restarted from the seeds
+
+
+def _expected_luc(n, x_arg):
+    return next(islice(seq_terms(SeqKind.LUC, x_arg, Y), n, None))
+
+
+def test_an_interrupted_walk_leaves_later_calls_correct(monkeypatch):
+    x_arg = X + 5  # an argument pair no other test walks
+    assert seq(SeqKind.LUC, 4, x_arg, Y) == _expected_luc(4, x_arg)
+    real_mul = BivarPoly.__mul__
+    calls = []
+
+    def mul_failing_once(self, other):
+        calls.append(None)
+        if len(calls) == 3:  # inside the second step past the kept walk
+            raise RuntimeError("interrupted")
+        return real_mul(self, other)
+
+    monkeypatch.setattr(BivarPoly, "__mul__", mul_failing_once)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        seq(SeqKind.LUC, 9, x_arg, Y)
+    assert seq(SeqKind.LUC, 9, x_arg, Y) == _expected_luc(9, x_arg)
+    assert seq(SeqKind.LUC, 12, x_arg, Y) == _expected_luc(12, x_arg)
+
+
+@pytest.mark.parametrize("others,steps_again", [(63, 0), (64, 9)])
+def test_the_least_recently_used_walk_goes_first(others, steps_again):
+    one, steps = counting_one()
+    seq(SeqKind.FIB, 10, one, 1)
+    assert len(steps) == 9
+    for y_arg in range(others):
+        seq(SeqKind.FIB, 2, 1, y_arg)
+    steps.clear()
+    assert seq(SeqKind.FIB, 10, one, 1) == 55
+    assert len(steps) == steps_again
+
+
+def test_threads_sharing_walks_get_the_generator_terms():
+    # more threads than cores, switching often, over a few shared argument pairs
+    pairs = [(1, 1), (2, -3), (luc_poly(2), -(Y**2)), (DELTA * fib_poly(2), Y**2)]
+    terms = [list(islice(seq_terms(SeqKind.FIB, *pair), 41)) for pair in pairs]
+    wrong = []
+
+    def worker(seed):
+        for step in range(300):
+            i, n = (seed + step) % len(pairs), (seed * 7 + step * 13) % 41
+            if seq(SeqKind.FIB, n, *pairs[i]) != terms[i][n]:
+                wrong.append((i, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(sequences._walks) <= sequences._WALKS_MAX
 
 
 def test_composed_argument_generator():
