@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from ._seqcache import fib_poly, luc_poly
 from .poly import BivarPoly, DELTA, X, Y, ZERO
 from .report import CheckReport, DomainError, check_cell
 from .sequences import SeqKind, binomial, seq
@@ -273,10 +272,8 @@ class SeqApp(Node):
         index = _eval_index(self.index, env)
         if index < 0:
             raise _domain_error(f"negative sequence index {index}", self, env)
-        if self.args is None:
-            return fib_poly(index) if self.kind == "F" else luc_poly(index)
-        x_arg, y_arg = self.args
-        return seq(SeqKind(self.kind), index, x_arg._eval(env), y_arg._eval(env))
+        args = () if self.args is None else (self.args[0]._eval(env), self.args[1]._eval(env))
+        return seq(SeqKind(self.kind), index, *args)
 
     def _free(self, bound: tuple[str, ...]) -> set[str]:
         names = self.index._free(bound)
@@ -616,7 +613,8 @@ def check(ast: Eq, ranges: Mapping[str, tuple[int, int]], case_id: str = "user")
     Equality is exact componentwise extension-ring equality.  A negative
     subscript, exponent or binomial upper index at some grid point is outside
     the identity's domain, not a counterexample: it raises ``DomainError``,
-    naming the expression and the binding.
+    naming the expression and the binding.  An empty range raises
+    ``ValueError``, because it would check no cell.
     """
     if not isinstance(ast, Eq):
         raise ValueError("expected an identity of the form lhs = rhs")
@@ -629,6 +627,8 @@ def check(ast: Eq, ranges: Mapping[str, tuple[int, int]], case_id: str = "user")
         if name not in free:
             return [None]
         low, high = ranges[name]
+        if low > high:
+            raise ValueError(f"empty range '{name}={low}..{high}': low bound above high bound")
         return list(range(low, high + 1))
 
     cells = []

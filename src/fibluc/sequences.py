@@ -8,11 +8,14 @@ deliberately generic over its arguments so the same code produces classic
 polynomials, polynomials composed with other polynomials, extension-ring
 values, and plain integer or rational specializations.
 
-:func:`seq` keeps one piece of state: for each of the last 64 argument pairs
-it was called with, the last two terms of its most recent walk, so a request
-at the same or a higher index steps on from there.  Those terms stay alive
-until 64 other pairs have been used since.  One lock guards that table, so
-everything here is safe to invoke concurrently.
+:func:`seq` returns every F and L value the package uses, and keeps terms in
+one of two ways.  For the generator pair (x, y) it keeps every term of F and
+of L computed so far up to index 640, in one list per kind.  For each of the
+last 64 other argument pairs it was called with, and for the generator pair
+past index 640, it keeps the last two terms of its most recent walk, so a
+request at the same or a higher index steps on from there; those terms stay
+alive until 64 other pairs have been used since.  A lock guards each kind of
+store, so everything here is safe to invoke concurrently.
 """
 
 from __future__ import annotations
@@ -84,19 +87,41 @@ def _types(value):
     return kind
 
 
+#: Every term of F(x, y) and of L(x, y) computed so far, up to index _TABLE_MAX.
+#: A catalog grid asks for lower indices again and again (8x slower on the walk
+#: alone), but a table to index n grows as n^3 (17 MB per kind at 640), so it
+#: stops past the 620 of ``catalog --n-max 30 --k-max 10``.  A fill appends
+#: whole terms only, so one that is interrupted leaves a correct table.
+_TABLE_MAX = 640
+_tables_lock = threading.Lock()
+_tables = {kind: list(_seeds(kind, X)) for kind in SeqKind}
+
+
 def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
-    """n-th term of :func:`seq_terms`, stepped on from this pair's last walk.
+    """n-th term of :func:`seq_terms`: every F and L value comes from here.
+
+    For the generator pair itself (``x_arg is X and y_arg is Y``) and n up
+    to ``_TABLE_MAX`` the term is read from the kind's table, extended to n
+    under its lock.  The table keeps every term: ``seq(FIB, 600)`` keeps
+    F_0 .. F_600 alive for the life of the process.  Any other pair, and the generator
+    pair past ``_TABLE_MAX``, steps on from its last walk.
 
     A walk is keyed by the kind and the argument pair with their types and
     coefficient types, so only arguments that compute alike share one, and
     the arguments must be hashable.  A request below the walk's last two
-    terms restarts from the seeds.  The walk is taken out of the table while
+    terms restarts from the seeds.  The walk is taken out of its store while
     it steps, so one that is interrupted is dropped, not left half done.
     A walk holds its last two terms until 64 other pairs have been used
-    since: ``seq(FIB, 100000)`` keeps F_99999 and F_100000 alive until then.
+    since: ``seq(FIB, 100000, 1, 1)`` keeps F_99999 and F_100000 alive until then.
     """
     if n < 0:
         raise ValueError(f"sequence index must be nonnegative, got {n}")
+    if x_arg is X and y_arg is Y and n <= _TABLE_MAX:
+        with _tables_lock:
+            table = _tables[kind]
+            while len(table) <= n:
+                table.append(_next_term(X, Y, table[-2], table[-1]))
+            return table[n]
     key = (kind, _types(x_arg), x_arg, _types(y_arg), y_arg)
     with _walks_lock:
         walk = _walks.pop(key, None)

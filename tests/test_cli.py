@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from fibluc import cli, sequences
 from fibluc.cli import main, run
 from fibluc.idlang import MAX_DEPTH
 from fibluc.sequences import SeqKind, seq
@@ -43,6 +44,15 @@ def test_eval_at_point(capsys):
     code, out, _ = run_cli(capsys, "eval", "F", "10", "--at", "1,1")
     assert code == 0
     assert out.strip() == "55"
+
+
+def test_eval_past_the_generator_table_keeps_two_terms(capsys):
+    # a table of every term to F_2000 took 260 MB; past the bound eval walks
+    n = sequences._TABLE_MAX + 1
+    code, out, err = run_cli(capsys, "eval", "F", str(n))
+    assert (code, err) == (0, "")
+    assert out == f"{seq(SeqKind.FIB, n)}\n"
+    assert len(sequences._tables[SeqKind.FIB]) <= sequences._TABLE_MAX + 1
 
 
 def test_results_past_the_int_to_str_digit_limit_are_printed(capsys):
@@ -455,9 +465,17 @@ def test_verify_corpus_parse_error_reports_file_position(tmp_path, capsys):
 
 
 def test_eval_negative_index(capsys):
-    code, _, err = run_cli(capsys, "eval", "F", "-1")
-    assert code == 2
-    assert "nonnegative" in err
+    # the index is checked by the node eval builds, or by seq at a point
+    assert run_cli(capsys, "eval", "F", "-1") == (
+        2,
+        "",
+        "error: negative sequence index -1 in F[-1](x, y)\n",
+    )
+    assert run_cli(capsys, "eval", "F", "-1", "--at", "1,1") == (
+        2,
+        "",
+        "error: sequence index must be nonnegative, got -1\n",
+    )
 
 
 # -- sequence ------------------------------------------------------------------
@@ -505,6 +523,19 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_running_out_of_memory_is_a_one_line_error_with_status_2(monkeypatch, capsys):
+    # 1 would claim a counterexample, and a traceback is no error message
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_catalog", out_of_memory)
+    assert run_cli(capsys, "catalog") == (
+        2,
+        "",
+        "error: out of memory: the result is too large for this process\n",
+    )
 
 
 def test_run_exits_with_the_status_of_main(monkeypatch, capsys):

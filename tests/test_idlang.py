@@ -261,6 +261,14 @@ def test_check_requires_ranges_for_free_vars():
         check(parse("F[n*k] = F[n*k]"), {"n": (0, 3)})
 
 
+def test_check_rejects_an_empty_range():
+    # an empty range would check no cell and pass
+    with pytest.raises(ValueError, match=r"empty range 'n=5\.\.2'"):
+        check(parse("F[n] = L[n]"), {"n": (5, 2)})
+    with pytest.raises(ValueError, match=r"empty range 'k=1\.\.0'"):
+        check(parse("F[n*k] = L[n*k]"), {"n": (0, 3), "k": (1, 0)})
+
+
 def test_check_ground_identity_is_a_single_cell():
     report = check(parse("D^2 = x^2+4*y"), {})
     assert [(cell.n, cell.k, cell.passed) for cell in report.cells] == [(None, None, True)]

@@ -34,7 +34,7 @@ from fibluc import (
     seq,
     seq_terms,
 )
-from fibluc import _seqcache, sequences
+from fibluc import evaluate, parse_expression, sequences
 from fibluc._seqcache import fib_poly, luc_poly
 from oracles import int_seq, poly_fib, poly_luc
 
@@ -74,7 +74,7 @@ def test_cached_tables_match_oracle():
 
 def test_interrupted_cache_fill_recovers(monkeypatch):
     # an exception inside the fill must not break the table for later calls
-    n = len(_seqcache._tables[SeqKind.FIB][0]) + 5
+    n = len(sequences._tables[SeqKind.FIB]) + 5
     real_mul = BivarPoly.__mul__
     calls = []
 
@@ -88,6 +88,38 @@ def test_interrupted_cache_fill_recovers(monkeypatch):
     with pytest.raises(RuntimeError, match="interrupted"):
         fib_poly(n)
     assert fib_poly(n).terms == poly_fib(n)
+
+
+def test_the_generator_pair_has_one_table(monkeypatch):
+    steps = []
+    real_next_term = sequences._next_term
+
+    def counting_next_term(*args):
+        steps.append(None)
+        return real_next_term(*args)
+
+    monkeypatch.setattr(sequences, "_next_term", counting_next_term)
+    top = len(sequences._tables[SeqKind.FIB]) + 19
+    for n in range(top + 1):
+        value = fib_poly(n)
+        assert fib(n) is value
+        assert seq(SeqKind.FIB, n) is value
+        assert evaluate(parse_expression("F[n](x, y)"), {"n": n}) is value
+    assert len(steps) == 20  # once for each of the 20 indices past the table
+    for n in range(top, -1, -1):
+        assert seq(SeqKind.FIB, n, X, Y) is fib_poly(n)
+    assert len(steps) == 20
+
+
+def test_the_generator_pair_walks_past_its_table(monkeypatch):
+    # the table stops at a fixed index: past it F(x, y) keeps two terms, not all
+    table = sequences._tables[SeqKind.LUC]
+    top = len(table) + 3
+    monkeypatch.setattr(sequences, "_TABLE_MAX", top)
+    for n in range(top + 12, top - 4, -1):
+        assert luc(n).terms == poly_luc(n)
+    assert len(table) == top + 1
+    assert luc(top) is table[top]
 
 
 def test_terms_are_computed_only_when_requested():
@@ -229,7 +261,7 @@ def test_the_least_recently_used_walk_goes_first(others, steps_again):
 
 def test_threads_sharing_walks_get_the_generator_terms():
     # more threads than cores, switching often, over a few shared argument pairs
-    pairs = [(1, 1), (2, -3), (luc_poly(2), -(Y**2)), (DELTA * fib_poly(2), Y**2)]
+    pairs = [(1, 1), (2, -3), (luc_poly(2), -(Y**2)), (DELTA * fib_poly(2), Y**2), (X, Y)]
     terms = [list(islice(seq_terms(SeqKind.FIB, *pair), 41)) for pair in pairs]
     wrong = []
 
