@@ -8,14 +8,21 @@ Zero coefficients are never stored, so two polynomials are equal exactly
 when their term mappings coincide, and ``==`` decides polynomial identity.
 Large products of weighted-homogeneous integer polynomials (every term has
 the same weight ``i + 2*j``, as in F_n and L_n) are computed with one
-integer multiply (Kronecker packing); results are unchanged.
+integer multiply (Kronecker packing); results are unchanged.  Operands
+that the substituted arguments of the identities make often skip the
+general loop as well: a sum with a zero operand is the other operand, a
+product with an operand of at most one term is one pass over the other's
+terms, and an extension element ``a + b*D`` times a base-ring value ``p`` is
+the two products ``a*p`` and ``b*p``.  Values and coefficient types are
+those of the general loop.
 
 :class:`QuadExtElem` represents ``a + b*D`` with ``D^2 = x^2 + 4y``.  The
 element ``D`` plays the role of the root difference of the characteristic
 equation ``t^2 = x*t + y``, which lets root powers and square-root-valued
 substitution arguments be manipulated without leaving exact arithmetic.
 
-All values are immutable; every operation returns a fresh value.
+All values are immutable, so an operation may return one of its operands
+(``p + 0`` is ``p``).
 """
 
 from __future__ import annotations
@@ -95,6 +102,11 @@ class BivarPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        # adding zero hands back the other operand: values are never mutated
+        if not rhs._terms:
+            return self
+        if not self._terms:
+            return rhs
         out = dict(self._terms)
         for mono, coeff in rhs._terms.items():
             total = out.get(mono, 0) + coeff
@@ -124,9 +136,16 @@ class BivarPoly:
         if rhs is None:
             return NotImplemented
         a, b = self._terms, rhs._terms
-        if (
-            len(a) < _PACK_MIN_TERMS
-            or len(b) < _PACK_MIN_TERMS
+        few, many = (a, b) if len(a) <= len(b) else (b, a)
+        if len(few) <= 1:
+            # zero or one term: each product has a monomial of its own, and
+            # a product of nonzero rationals is nonzero
+            out = {}
+            for (i, j), ca in few.items():
+                for (p, q), cb in many.items():
+                    out[(i + p, j + q)] = ca * cb
+        elif (
+            len(few) < _PACK_MIN_TERMS
             or len(a) * len(b) < _PACK_MIN_PAIRS
             or (out := _packed_product(a, b)) is None
         ):
@@ -353,11 +372,14 @@ class QuadExtElem:
         return other + (-self)
 
     def __mul__(self, other: object) -> QuadExtElem:
-        rhs = self._coerce(other)
-        if rhs is None:
+        if isinstance(other, QuadExtElem):
+            a, b, c, d = self._a, self._b, other._a, other._b
+            return QuadExtElem(a * c + b * d * DISCRIMINANT, a * d + b * c)
+        base = BivarPoly._coerce(other)
+        if base is None:
             return NotImplemented
-        a, b, c, d = self._a, self._b, rhs._a, rhs._b
-        return QuadExtElem(a * c + b * d * DISCRIMINANT, a * d + b * c)
+        # a base-ring factor p scales each part: (a + bD)p = ap + (bp)D
+        return QuadExtElem(self._a * base, self._b * base)
 
     __rmul__ = __mul__
 
@@ -379,6 +401,11 @@ class QuadExtElem:
         return bool(self._a) or bool(self._b)
 
     def __str__(self) -> str:
+        """``(a) + (b)*D``, with the D part shown even when it is zero.
+
+        Equal elements render identically, but an element equal to a
+        polynomial does not render like it: ``QuadExtElem(X)`` is ``(x) + (0)*D``.
+        """
         return f"({self._a}) + ({self._b})*D"
 
     def __repr__(self) -> str:
@@ -407,7 +434,9 @@ def _term_text(mono: Monomial, magnitude: _Coeff) -> str:
 def canonical_text(value) -> str:
     """Deterministic rendering of a ring value or rational: its ``str``.
 
-    Equal values produce identical strings.
+    Equal values of one type produce identical strings.  An extension
+    element always shows its D part, so ``QuadExtElem(X)`` renders as
+    ``(x) + (0)*D`` though it equals ``X``, which renders as ``x``.
     """
     if not isinstance(value, (BivarPoly, QuadExtElem, int, Fraction)):
         raise TypeError(f"cannot render {value!r}")

@@ -5,7 +5,7 @@ from itertools import product
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from fibluc import (
     DELTA,
@@ -24,7 +24,7 @@ from fibluc import (
 )
 from fibluc._seqcache import fib_poly, luc_poly
 from fibluc.poly import _packed_product, binary_power
-from oracles import d_mul, poly_fib, poly_luc
+from oracles import d_add, d_mul, poly_fib, poly_luc
 
 # Random sparse polynomials: at most 8 terms, exponents <= 6, coefficients
 # in [-9, 9] (zero coefficients are dropped by the constructor).
@@ -71,6 +71,44 @@ def test_mul_doubling_at_two():
 @given(polys)
 def test_mul_zero_absorbs(p):
     assert p * ZERO == ZERO
+
+
+@st.composite
+def typed_operands(draw, scalars=True):
+    """A value whose coefficients all have one drawn type, and that type.
+
+    Polynomials have no terms, one term, or two to eight, so products and
+    sums meet the zero and one-term paths and the general loop; with
+    ``scalars`` the value may also be a bare int, bool or Fraction.
+    """
+    kind = draw(st.sampled_from([int, Fraction]))
+    coeffs = st.integers(-9, 9) if kind is int else st.fractions(-9, 9, max_denominator=6)
+    low, high = draw(st.sampled_from([(0, 0), (1, 1), (2, 8)]))
+    poly = st.dictionaries(monomials, coeffs.filter(bool), min_size=low, max_size=high)
+    choices = [poly.map(BivarPoly)]
+    if scalars:
+        choices.append(st.one_of(coeffs, st.booleans()) if kind is int else coeffs)
+    return draw(st.one_of(choices)), kind
+
+
+def _oracle_terms(value):
+    if isinstance(value, BivarPoly):
+        return value.terms
+    return {(0, 0): value} if value else {}
+
+
+@given(typed_operands(scalars=False), typed_operands())
+def test_sums_and_products_match_the_schoolbook_oracle(drawn_p, drawn_q):
+    (p, p_kind), (q, q_kind) = drawn_p, drawn_q
+    for left, right in [(p, q), (q, p)]:
+        product = (left * right).terms
+        total = (left + right).terms
+        assert product == d_mul(_oracle_terms(left), _oracle_terms(right))
+        assert total == d_add(_oracle_terms(left), _oracle_terms(right))
+        if p_kind is q_kind is int:
+            assert {type(c) for c in [*product.values(), *total.values()]} <= {int}
+        if Fraction in (p_kind, q_kind):
+            assert {type(c) for c in product.values()} <= {Fraction}
 
 
 # -- packed (Kronecker) multiplication ---------------------------------------
@@ -337,6 +375,24 @@ def test_embedding_powers_match(p, q):
     assert (QuadExtElem(p) + QuadExtElem(q)) ** 2 == (p + q) ** 2
 
 
+def _coefficient_types(value):
+    return [{type(c) for c in part.terms.values()} for part in (value.a, value.b)]
+
+
+@given(
+    st.builds(QuadExtElem, small_polys, small_polys),
+    st.one_of(small_polys, st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3)),
+)
+@example(DELTA * fib_poly(3), (-Y) ** 3)  # the EQ24 walk step y*u at y = -y^3
+def test_extension_times_a_base_ring_value_scales_both_parts(u, p):
+    expected = u * QuadExtElem(p)
+    for product in (u * p, p * u):
+        assert type(product) is QuadExtElem
+        assert product == expected
+        assert product.b == u.b * p
+        assert _coefficient_types(product) == _coefficient_types(expected)
+
+
 @pytest.mark.parametrize(
     "value, number",
     [
@@ -475,3 +531,14 @@ def test_text_is_injective(p, q):
         assert p == q
     else:
         assert p != q
+
+
+@given(small_polys, small_polys, small_polys, small_polys)
+def test_extension_text_is_injective_and_shows_the_d_part(a, b, c, d):
+    u, v = QuadExtElem(a, b), QuadExtElem(c, d)
+    assert (canonical_text(u) == canonical_text(v)) == (u == v)
+    assert canonical_text(u * v) == canonical_text(v * u)
+    assert canonical_text(u) == f"({a}) + ({b})*D"
+    # equal across types, yet the extension element still shows its D part
+    assert QuadExtElem(a) == a
+    assert canonical_text(QuadExtElem(a)) == f"({a}) + (0)*D" != canonical_text(a)
