@@ -22,10 +22,12 @@ from .sequences import (
     PolyMatrix2,
     SeqKind,
     binomial,
+    binomial_sum,
     matrix_A,
     matrix_B,
     matrix_BA,
     matrix_pow,
+    power_entry_factor,
     seq,
 )
 
@@ -67,23 +69,15 @@ def _neg_y_pow(e: int) -> BivarPoly:
 
 def _even_index_sum(n: int) -> BivarPoly:
     """x * sum_{k=0}^{n-1} C(2n-1-k, k) (x^2+4y)^(n-k-1) (-y)^k."""
-    total = ZERO
-    for k in range(n):
-        total = total + binomial(2 * n - 1 - k, k) * DISCRIMINANT ** (n - k - 1) * _neg_y_pow(k)
-    return X * total
+    return X * binomial_sum(2 * n - 1, lambda k: DISCRIMINANT ** (n - k - 1) * _neg_y_pow(k))
 
 
 def _quadruple_index_sum(n: int) -> BivarPoly:
     """(x^2+2y) * sum_{k=0}^{n-1} C(2n-1-k, k) x^(2n-1-2k) (x^2+4y)^(n-1-k) y^(2k)."""
-    total = ZERO
-    for k in range(n):
-        total = total + (
-            binomial(2 * n - 1 - k, k)
-            * X ** (2 * n - 1 - 2 * k)
-            * DISCRIMINANT ** (n - 1 - k)
-            * Y ** (2 * k)
-        )
-    return _X2_2Y * total
+    return _X2_2Y * binomial_sum(
+        2 * n - 1,
+        lambda k: X ** (2 * n - 1 - 2 * k) * DISCRIMINANT ** (n - 1 - k) * Y ** (2 * k),
+    )
 
 
 def _binomial_matrix_sum(n: int, power_shift: int) -> PolyMatrix2:
@@ -132,14 +126,8 @@ def build_catalog() -> list[IdentityCase]:
             "e12(B^n) = x sum_k C(n-1-k,k) (x^2+4y)^(n-1-k) (-y)^k",
             1,
             lambda n: matrix_pow(matrix_B(), n).e12,
-            lambda n: X
-            * sum(
-                (
-                    binomial(n - 1 - k, k) * DISCRIMINANT ** (n - 1 - k) * _neg_y_pow(k)
-                    for k in range((n - 1) // 2 + 1)
-                ),
-                ZERO,
-            ),
+            # tr B = x^2+4y and det B = y(x^2+4y)
+            lambda n: X * power_entry_factor(DISCRIMINANT, Y * DISCRIMINANT, n - 1),
         ),
         unary(
             "EQ04",
@@ -160,17 +148,9 @@ def build_catalog() -> list[IdentityCase]:
             "e12((BA)^n) = (x^2+2y) sum_k C(n-1-k,k) x^(n-1-2k) (x^2+4y)^(n-1-k) y^(2k)",
             1,
             lambda n: matrix_pow(matrix_BA(), n).e12,
+            # tr BA and det BA as EQ05 states them
             lambda n: _X2_2Y
-            * sum(
-                (
-                    binomial(n - 1 - k, k)
-                    * X ** (n - 1 - 2 * k)
-                    * DISCRIMINANT ** (n - 1 - k)
-                    * Y ** (2 * k)
-                    for k in range((n - 1) // 2 + 1)
-                ),
-                ZERO,
-            ),
+            * power_entry_factor(X * DISCRIMINANT, -(Y * Y) * DISCRIMINANT, n - 1),
         ),
         unary(
             "EQ07",
@@ -274,15 +254,11 @@ def build_catalog() -> list[IdentityCase]:
             1,
             1,
             lambda n, k: fib_poly(2 * k)
-            * sum(
-                (
-                    binomial(2 * n - 1 - r, r)
-                    * DISCRIMINANT ** (n - 1 - r)
-                    * fib_poly(k) ** (2 * (n - 1 - r))
-                    * _neg_y_pow(r * k)
-                    for r in range(n)
-                ),
-                ZERO,
+            * binomial_sum(
+                2 * n - 1,
+                lambda r: DISCRIMINANT ** (n - 1 - r)
+                * fib_poly(k) ** (2 * (n - 1 - r))
+                * _neg_y_pow(r * k),
             ),
             lambda n, k: fib_poly(2 * k * n),
         ),

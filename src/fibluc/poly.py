@@ -60,14 +60,6 @@ class BivarPoly:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls) -> BivarPoly:
-        return cls()
-
-    @classmethod
-    def one(cls) -> BivarPoly:
-        return cls({(0, 0): 1})
-
-    @classmethod
     def const(cls, value: _Coeff) -> BivarPoly:
         return cls({(0, 0): value})
 
@@ -80,13 +72,6 @@ class BivarPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_constant(self) -> bool:
-        return not self._terms or self._terms.keys() == {(0, 0)}
-
-    def constant_value(self) -> _Coeff:
-        """The coefficient of x^0 y^0 (the whole value for constants)."""
-        return self._terms.get((0, 0), 0)
 
     # -- ring structure ---------------------------------------------------
 
@@ -179,8 +164,8 @@ class BivarPoly:
 
     def __hash__(self) -> int:
         # constants compare equal to their number, so they must hash like it
-        if self.is_constant():
-            return hash(self.constant_value())
+        if not self._terms or self._terms.keys() == {(0, 0)}:
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
@@ -308,8 +293,8 @@ def _power_table(value, top: int) -> list:
 
 X = BivarPoly({(1, 0): 1})
 Y = BivarPoly({(0, 1): 1})
-ZERO = BivarPoly.zero()
-ONE = BivarPoly.one()
+ZERO = BivarPoly()
+ONE = BivarPoly.const(1)
 
 #: Discriminant of t^2 = x*t + y; the square of the adjoined element D.
 DISCRIMINANT = BivarPoly({(2, 0): 1, (0, 1): 4})

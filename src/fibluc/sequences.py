@@ -1,6 +1,6 @@
 """Generators for the bivariate Fibonacci and Lucas families, the companion
 matrices behind them, and the trace/determinant closed form for the (1,2)
-entry of 2x2 matrix powers.
+entry of 2x2 matrix powers with the binomial expansion of F_{m+1} behind it.
 
 The two families satisfy the same recurrence ``u_m = x*u_{m-1} + y*u_{m-2}``
 and differ only in seeds: F starts (0, 1), L starts (2, x).  The generator is
@@ -221,6 +221,18 @@ def matrix_BA() -> PolyMatrix2:
     return matrix_B() * matrix_A()
 
 
+def binomial_sum(m: int, term):
+    """sum_{k=0..m//2} C(m-k, k) * term(k): the binomial expansion of F_{m+1}.
+
+    With ``term(k) = a^(m-2k) * b^k`` the sum is F_{m+1}(a, b); the catalog's
+    closed forms and :func:`power_entry_factor` are all instances.  The sum
+    lives in the ring of ``term(0)``.
+    """
+    if m < 0:
+        raise ValueError(f"index must be nonnegative, got {m}")
+    return sum(binomial(m - k, k) * term(k) for k in range(m // 2 + 1))
+
+
 def power_entry_factor(trace_value, det_value, m: int):
     """Closed form sum_{k=0..m//2} C(m-k, k) * trace^(m-2k) * (-det)^k.
 
@@ -229,13 +241,8 @@ def power_entry_factor(trace_value, det_value, m: int):
     the factor is the generalized Fibonacci term of the characteristic
     polynomial, expanded as an explicit binomial sum.
     """
-    if m < 0:
-        raise ValueError(f"index must be nonnegative, got {m}")
     neg_det = -det_value
-    total = (trace_value**0) * 0
-    for k in range(m // 2 + 1):
-        total = total + binomial(m - k, k) * trace_value ** (m - 2 * k) * neg_det**k
-    return total
+    return binomial_sum(m, lambda k: trace_value ** (m - 2 * k) * neg_det**k)
 
 
 _HALF = Fraction(1, 2)

@@ -17,6 +17,7 @@ from fibluc import (
     luc,
     run_catalog,
 )
+from fibluc import identities, sequences
 from oracles import poly_fib
 
 EXPECTED_IDS = [f"EQ{i:02d}" for i in range(1, 32)]
@@ -145,6 +146,19 @@ def test_mutation_sensitivity():
             bad = replace(good, rhs=lambda n, _g=good: -_g.rhs(n))
         report = run_catalog(4, 2, cases=[bad])
         assert report.failures(), f"{case_id} did not notice a sign flip"
+
+
+def test_closed_forms_notice_a_short_binomial_sum(monkeypatch):
+    # the six closed-form sides share binomial_sum, but their other sides do
+    # not, so an expansion that drops its last term breaks every one of them
+    def short_sum(m, term):
+        return sum(sequences.binomial(m - k, k) * term(k) for k in range(m // 2))
+
+    monkeypatch.setattr(sequences, "binomial_sum", short_sum)
+    monkeypatch.setattr(identities, "binomial_sum", short_sum)
+    closed_forms = ["EQ03", "EQ04", "EQ06", "EQ08", "EQ09", "EQ19"]
+    report = run_catalog(6, 2, ids=closed_forms)
+    assert {cell.case_id for cell in report.failures()} == set(closed_forms)
 
 
 def test_divisibility_form_of_composition():

@@ -418,6 +418,18 @@ def test_entry_factor_rejects_a_negative_index():
         power_entry_factor(X, Y, -1)
 
 
+@pytest.mark.parametrize(
+    "a,b",
+    [(1, 1), (3, -2), (Fraction(1, 2), 5), (X, Y), (X * X + 2 * Y, -(Y * Y)), (DELTA, -Y)],
+)
+def test_binomial_sum_is_the_next_fibonacci_term(a, b):
+    for m in range(25):
+        expansion = sequences.binomial_sum(m, lambda k: a ** (m - 2 * k) * b**k)
+        assert expansion == seq(SeqKind.FIB, m + 1, a, b)
+    with pytest.raises(ValueError, match="index must be nonnegative, got -1"):
+        sequences.binomial_sum(-1, lambda k: a)
+
+
 @pytest.mark.parametrize("name,matrix", [("A", matrix_A()), ("B", matrix_B()), ("BA", matrix_BA())])
 def test_entry_factor_reproduces_matrix_powers(name, matrix):
     trace_value = matrix.trace()
