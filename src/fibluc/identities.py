@@ -69,15 +69,12 @@ def _neg_y_pow(e: int) -> BivarPoly:
 
 def _even_index_sum(n: int) -> BivarPoly:
     """x * sum_{k=0}^{n-1} C(2n-1-k, k) (x^2+4y)^(n-k-1) (-y)^k."""
-    return X * binomial_sum(2 * n - 1, lambda k: DISCRIMINANT ** (n - k - 1) * _neg_y_pow(k))
+    return X * binomial_sum(2 * n - 1, DISCRIMINANT, -Y)
 
 
 def _quadruple_index_sum(n: int) -> BivarPoly:
     """(x^2+2y) * sum_{k=0}^{n-1} C(2n-1-k, k) x^(2n-1-2k) (x^2+4y)^(n-1-k) y^(2k)."""
-    return _X2_2Y * binomial_sum(
-        2 * n - 1,
-        lambda k: X ** (2 * n - 1 - 2 * k) * DISCRIMINANT ** (n - 1 - k) * Y ** (2 * k),
-    )
+    return _X2_2Y * X * binomial_sum(2 * n - 1, X * X * DISCRIMINANT, Y * Y)
 
 
 def _binomial_matrix_sum(n: int, power_shift: int) -> PolyMatrix2:
@@ -254,12 +251,7 @@ def build_catalog() -> list[IdentityCase]:
             1,
             1,
             lambda n, k: fib_poly(2 * k)
-            * binomial_sum(
-                2 * n - 1,
-                lambda r: DISCRIMINANT ** (n - 1 - r)
-                * fib_poly(k) ** (2 * (n - 1 - r))
-                * _neg_y_pow(r * k),
-            ),
+            * binomial_sum(2 * n - 1, DISCRIMINANT * fib_poly(k) ** 2, _neg_y_pow(k)),
             lambda n, k: fib_poly(2 * k * n),
         ),
         unary(

@@ -22,7 +22,7 @@ equation ``t^2 = x*t + y``, which lets root powers and square-root-valued
 substitution arguments be manipulated without leaving exact arithmetic.
 
 All values are immutable, so an operation may return one of its operands
-(``p + 0`` is ``p``).
+(``p + 0`` is ``p``, and so is ``p ** 1``).
 """
 
 from __future__ import annotations
@@ -270,18 +270,20 @@ def _packed_product(
 def binary_power(base, exponent: int, one):
     """base**exponent by binary squaring, for any value with ``*``.
 
-    ``one`` is the multiplicative identity of base's ring.
+    ``one`` is the multiplicative identity of base's ring, returned for
+    exponent 0 only: any other power starts from its first factor, so no
+    product is taken with ``one`` and ``base**1`` is ``base``.
     """
     if not isinstance(exponent, int) or exponent < 0:
         raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-    result = one
+    result = None
     while exponent:
         if exponent & 1:
-            result = result * base
+            result = base if result is None else result * base
         exponent >>= 1
         if exponent:
             base = base * base
-    return result
+    return one if result is None else result
 
 
 def _power_table(value, top: int) -> list:

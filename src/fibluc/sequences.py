@@ -221,16 +221,22 @@ def matrix_BA() -> PolyMatrix2:
     return matrix_B() * matrix_A()
 
 
-def binomial_sum(m: int, term):
-    """sum_{k=0..m//2} C(m-k, k) * term(k): the binomial expansion of F_{m+1}.
+def binomial_sum(m: int, a, b):
+    """sum_{k=0..m//2} C(m-k, k) * a^(m//2-k) * b^k: the binomial expansion of F_{m+1}.
 
-    With ``term(k) = a^(m-2k) * b^k`` the sum is F_{m+1}(a, b); the catalog's
+    ``a^(m%2) * binomial_sum(m, a*a, b)`` is F_{m+1}(a, b); the catalog's
     closed forms and :func:`power_entry_factor` are all instances.  The sum
-    lives in the ring of ``term(0)``.
+    runs by Horner's rule in ``a`` with a running power of ``b``, so each
+    term costs one product with ``a`` and one with ``b``, and it lives in
+    the ring of ``a**0 * b**0``.
     """
     if m < 0:
         raise ValueError(f"index must be nonnegative, got {m}")
-    return sum(binomial(m - k, k) * term(k) for k in range(m // 2 + 1))
+    total = b_power = a**0 * b**0
+    for k in range(1, m // 2 + 1):
+        b_power = b_power * b
+        total = total * a + binomial(m - k, k) * b_power
+    return total
 
 
 def power_entry_factor(trace_value, det_value, m: int):
@@ -241,8 +247,8 @@ def power_entry_factor(trace_value, det_value, m: int):
     the factor is the generalized Fibonacci term of the characteristic
     polynomial, expanded as an explicit binomial sum.
     """
-    neg_det = -det_value
-    return binomial_sum(m, lambda k: trace_value ** (m - 2 * k) * neg_det**k)
+    total = binomial_sum(m, trace_value * trace_value, -det_value)
+    return total * trace_value if m % 2 else total
 
 
 _HALF = Fraction(1, 2)

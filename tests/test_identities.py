@@ -151,8 +151,10 @@ def test_mutation_sensitivity():
 def test_closed_forms_notice_a_short_binomial_sum(monkeypatch):
     # the six closed-form sides share binomial_sum, but their other sides do
     # not, so an expansion that drops its last term breaks every one of them
-    def short_sum(m, term):
-        return sum(sequences.binomial(m - k, k) * term(k) for k in range(m // 2))
+    def short_sum(m, a, b):
+        return sum(
+            sequences.binomial(m - k, k) * a ** (m // 2 - k) * b**k for k in range(m // 2)
+        )
 
     monkeypatch.setattr(sequences, "binomial_sum", short_sum)
     monkeypatch.setattr(identities, "binomial_sum", short_sum)

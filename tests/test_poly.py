@@ -241,6 +241,32 @@ def test_binary_power_checks_the_exponent_before_any_product():
         binary_power(object(), -1, ONE)
 
 
+class _CountingFactor:
+    """Stands for x^degree; its ``*`` counts the products taken."""
+
+    products = 0
+
+    def __init__(self, degree):
+        self.degree = degree
+
+    def __mul__(self, other):
+        _CountingFactor.products += 1
+        return _CountingFactor(self.degree + other.degree)
+
+
+def test_a_power_never_multiplies_by_one():
+    one, base = _CountingFactor(0), _CountingFactor(1)
+    _CountingFactor.products = 0
+    assert binary_power(base, 0, one) is one
+    assert binary_power(base, 1, one) is base
+    assert _CountingFactor.products == 0
+    for e in range(2, 41):
+        _CountingFactor.products = 0
+        assert binary_power(base, e, one).degree == e
+        # one squaring per bit below the top one, one product per set bit past the first
+        assert _CountingFactor.products == (e.bit_length() - 1) + (bin(e).count("1") - 1), e
+
+
 def test_constructor_rejects_bad_exponents():
     with pytest.raises(ValueError):
         BivarPoly({(-1, 0): 1})

@@ -424,10 +424,12 @@ def test_entry_factor_rejects_a_negative_index():
 )
 def test_binomial_sum_is_the_next_fibonacci_term(a, b):
     for m in range(25):
-        expansion = sequences.binomial_sum(m, lambda k: a ** (m - 2 * k) * b**k)
+        expansion = a ** (m % 2) * sequences.binomial_sum(m, a * a, b)
         assert expansion == seq(SeqKind.FIB, m + 1, a, b)
+    # the sum lives in the ring of a^0 * b^0: int for (1, 1), QuadExtElem for (D, -y)
+    assert type(sequences.binomial_sum(0, a * a, b)) is type(a**0 * b**0)
     with pytest.raises(ValueError, match="index must be nonnegative, got -1"):
-        sequences.binomial_sum(-1, lambda k: a)
+        sequences.binomial_sum(-1, a * a, b)
 
 
 @pytest.mark.parametrize("name,matrix", [("A", matrix_A()), ("B", matrix_B()), ("BA", matrix_BA())])
