@@ -31,6 +31,7 @@ from __future__ import annotations
 import importlib.resources
 import itertools
 import operator
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
@@ -45,11 +46,13 @@ META_VARS = {"n", "k"}
 #: Deepest expression the parser accepts, as nesting of sub-expressions (the
 #: whole expression is level 1; each parenthesized group, bracketed index,
 #: argument or sum body is one more) and as AST height (a leaf is 1).  The
-#: parser takes five stack frames per nesting level (about 500 at this depth),
-#: the renderer two per level of height (``_render`` and the node's ``_text``:
-#: about 200) and the evaluator one; a domain error renders its node from
-#: inside the evaluator, which stays near 200.  So every input stays well
-#: inside Python's default recursion limit of 1000.
+#: parser takes four stack frames per parenthesized group in an index, five
+#: per other parenthesized group and six per bracketed index, argument or sum
+#: body (at most about 600 at this depth), the renderer two per level of height
+#: (``_render`` and the node's ``_text``: about 200) and the evaluator one; a
+#: domain error renders its node from inside the evaluator, which stays near
+#: 200.  So every input stays well inside Python's default recursion limit of
+#: 1000.
 MAX_DEPTH = 100
 _TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
@@ -307,18 +310,10 @@ class Eq(Node):
 
 # -- tokenizer ------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # INT, NAME, EOF, or the punctuation mark itself
-    text: str
-    pos: int  # offset in the source
-
-
-_PUNCT = set("+-*^()[],=")
-_DIGITS = set("0123456789")
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_BODY = _NAME_START | _DIGITS
+#: One token per match: an integer, a name, a punctuation mark (``..`` or one
+#: character) or, as an error, any other character that is not whitespace.
+_TOKEN = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)|(\.\.|[-+*^()\[\],=])|(\S)")
+_GROUP_KINDS = (None, "INT", "NAME")
 
 
 def _position(source: str, pos: int) -> tuple[int, int]:
@@ -326,51 +321,29 @@ def _position(source: str, pos: int) -> tuple[int, int]:
     return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    length = len(source)
-    while i < length:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < length and source[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("INT", source[i:j], i))
-            i = j
-            continue
-        if ch in _NAME_START:
-            j = i
-            while j < length and source[j] in _NAME_BODY:
-                j += 1
-            tokens.append(_Token("NAME", source[i:j], i))
-            i = j
-            continue
-        if ch == ".":
-            if i + 1 < length and source[i + 1] == ".":
-                tokens.append(_Token("..", "..", i))
-                i += 2
-                continue
-            raise ParseError("unexpected character '.'", *_position(source, i))
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", *_position(source, i))
-    tokens.append(_Token("EOF", "", length))
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` for each token, then an EOF token; a kind is
+    INT, NAME, EOF or the punctuation mark itself."""
+    tokens = []
+    for match in _TOKEN.finditer(source):
+        group, text = match.lastindex, match[0]
+        if group == 4:
+            raise ParseError(f"unexpected character {text!r}", *_position(source, match.start()))
+        tokens.append((text if group == 3 else _GROUP_KINDS[group], text, match.start()))
+    tokens.append(("EOF", "", len(source)))
     return tokens
 
 
 # -- parser ---------------------------------------------------------------------
 
+_ADD_OPS = {"+": Add, "-": Sub}
+
 
 class _Parser:
     def __init__(self, source: str) -> None:
         self._source = source
-        self._tokens = _tokenize(source)
+        # the token at index i is (_kinds[i], _texts[i], _offsets[i])
+        self._kinds, self._texts, self._offsets = zip(*_tokenize(source))
         self._pos = 0
         self._scope: list[str] = []
         self._nesting = 0
@@ -378,27 +351,19 @@ class _Parser:
         # is held by the tree until the parse ends
         self._heights: dict[int, int] = {}
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> _Token:
-        token = self._tokens[self._pos]
-        if token.kind != "EOF":
-            self._pos += 1
-        return token
-
-    def _error(self, message: str, token: _Token | None = None) -> ParseError:
-        token = token or self._peek()
-        return ParseError(message, *_position(self._source, token.pos))
+    def _error(self, message: str, at: int | None = None) -> ParseError:
+        """An error at the token with index ``at``, by default the next one."""
+        offset = self._offsets[self._pos if at is None else at]
+        return ParseError(message, *_position(self._source, offset))
 
     def _shown(self) -> str:
         """The next token as an error message shows it."""
-        token = self._peek()
-        return repr(token.text if token.kind != "EOF" else "end of input")
+        pos = self._pos
+        return repr(self._texts[pos] if self._kinds[pos] != "EOF" else "end of input")
 
     def _match(self, mark: str) -> bool:
-        if self._peek().kind == mark:
-            self._advance()
+        if self._kinds[self._pos] == mark:
+            self._pos += 1
             return True
         return False
 
@@ -407,7 +372,7 @@ class _Parser:
             raise self._error(f"expected '{mark}', found {self._shown()}")
 
     def _expect_end(self) -> None:
-        if self._peek().kind != "EOF":
+        if self._kinds[self._pos] != "EOF":
             raise self._error(f"unexpected trailing input {self._shown()}")
 
     def _build(self, cls: type, *fields) -> Node:
@@ -441,7 +406,8 @@ class _Parser:
         return node
 
     # expressions: ring-valued ones are chains of factors, index
-    # expressions the same chains of index atoms
+    # expressions the same chains of index atoms; each rule reads the next
+    # token's kind once per decision
 
     def _expr(self, operand: Callable[[], Node] | None = None) -> Node:
         operand = operand or self._factor
@@ -449,63 +415,66 @@ class _Parser:
         if self._nesting > MAX_DEPTH:
             raise self._error(_TOO_DEEP)
         node = self._term(operand)
-        while True:
-            if self._match("+"):
-                node = self._build(Add, node, self._term(operand))
-            elif self._match("-"):
-                node = self._build(Sub, node, self._term(operand))
-            else:
-                self._nesting -= 1
-                return node
+        kinds = self._kinds
+        while (cls := _ADD_OPS.get(kinds[self._pos])) is not None:
+            self._pos += 1
+            node = self._build(cls, node, self._term(operand))
+        self._nesting -= 1
+        return node
 
     def _term(self, operand: Callable[[], Node]) -> Node:
         node = self._unary(operand)
-        while self._match("*"):
+        kinds = self._kinds
+        while kinds[self._pos] == "*":
+            self._pos += 1
             node = self._build(Mul, node, self._unary(operand))
         return node
 
     def _unary(self, operand: Callable[[], Node]) -> Node:
-        if self._match("-"):
+        if self._kinds[self._pos] == "-":
+            self._pos += 1
             return self._build(Neg, operand())
         return operand()
 
-    def _ixexpr(self) -> Node:
-        return self._expr(self._ixatom)
-
     def _factor(self) -> Node:
         node = self._base()
-        if self._match("^"):
+        if self._kinds[self._pos] == "^":
+            self._pos += 1
             exponent = self._ixatom("an exponent (integer, meta-variable, or parenthesized index)")
             node = self._build(Pow, node, exponent)
         return node
 
     def _base(self) -> Node:
-        token = self._peek()
-        if token.kind == "INT":
-            self._advance()
-            return IntLit(int(token.text))
-        if self._match("("):
-            inner = self._expr()
-            self._expect(")")
-            return inner
-        if token.kind == "NAME":
-            self._advance()
-            name = token.text
+        pos = self._pos
+        kind = self._kinds[pos]
+        if kind == "NAME":
+            self._pos = pos + 1
+            name = self._texts[pos]
             if name in _SYMBOLS:
                 return _SYMBOLS[name]()
             if name in ("F", "L"):
-                return self._seqapp(name, token)
+                return self._seqapp(name, pos)
             if name == "binom":
-                return self._binom(token)
+                return self._binom(pos)
             if name == "sum":
-                return self._sum(token)
-            return self._index_name(token)
+                return self._sum(pos)
+            return self._index_name(pos)
+        if kind == "INT":
+            self._pos = pos + 1
+            return IntLit(int(self._texts[pos]))
+        if kind == "(":
+            self._pos = pos + 1
+            inner = self._expr()
+            self._expect(")")
+            return inner
         raise self._error(f"expected an expression, found {self._shown()}")
 
-    def _seqapp(self, kind: str, token: _Token) -> SeqApp:
+    # ``at`` is the index of the name token that starts a rule
+
+    def _seqapp(self, kind: str, at: int) -> SeqApp:
         if not self._match("["):
-            raise self._error(f"'{kind}' must be applied as {kind}[index]", token)
-        index = self._ixexpr()
+            raise self._error(f"'{kind}' must be applied as {kind}[index]", at)
+        index = self._expr(self._ixatom)
         self._expect("]")
         args: tuple[Node, Node] | None = None
         if self._match("("):
@@ -516,53 +485,55 @@ class _Parser:
             args = (x_arg, y_arg)
         return self._build(SeqApp, kind, index, args)
 
-    def _binom(self, token: _Token) -> Binom:
+    def _binom(self, at: int) -> Binom:
         if not self._match("("):
-            raise self._error("'binom' needs two index arguments", token)
-        upper = self._ixexpr()
+            raise self._error("'binom' needs two index arguments", at)
+        upper = self._expr(self._ixatom)
         self._expect(",")
-        lower = self._ixexpr()
+        lower = self._expr(self._ixatom)
         self._expect(")")
         return self._build(Binom, upper, lower)
 
-    def _sum(self, token: _Token) -> Sum:
+    def _sum(self, at: int) -> Sum:
         if not self._match("("):
-            raise self._error("'sum' needs a bound variable and a body", token)
-        var_token = self._peek()
-        if var_token.kind != "NAME":
+            raise self._error("'sum' needs a bound variable and a body", at)
+        if self._kinds[self._pos] != "NAME":
             raise self._error("expected a bound variable name")
-        if var_token.text in _RESERVED:
-            raise self._error(f"'{var_token.text}' is reserved and cannot be a sum variable")
-        self._advance()
+        var = self._texts[self._pos]
+        if var in _RESERVED:
+            raise self._error(f"'{var}' is reserved and cannot be a sum variable")
+        self._pos += 1
         self._expect("=")
-        low = self._ixexpr()
+        low = self._expr(self._ixatom)
         self._expect("..")
-        high = self._ixexpr()
+        high = self._expr(self._ixatom)
         self._expect(",")
-        self._scope.append(var_token.text)
+        self._scope.append(var)
         try:
             body = self._expr()
         finally:
             self._scope.pop()
         self._expect(")")
-        return self._build(Sum, var_token.text, low, high, body)
+        return self._build(Sum, var, low, high, body)
 
-    def _index_name(self, token: _Token) -> MetaVar:
-        name = token.text
+    def _index_name(self, at: int) -> MetaVar:
+        name = self._texts[at]
         if name in self._scope or name in META_VARS:
             return MetaVar(name)
-        raise self._error(f"unknown name '{name}'", token)
+        raise self._error(f"unknown name '{name}'", at)
 
     def _ixatom(self, expected: str = "an index expression") -> Node:
-        token = self._peek()
-        if token.kind == "INT":
-            self._advance()
-            return IntLit(int(token.text))
-        if token.kind == "NAME":
-            self._advance()
-            return self._index_name(token)
-        if self._match("("):
-            inner = self._ixexpr()
+        pos = self._pos
+        kind = self._kinds[pos]
+        if kind == "INT":
+            self._pos = pos + 1
+            return IntLit(int(self._texts[pos]))
+        if kind == "NAME":
+            self._pos = pos + 1
+            return self._index_name(pos)
+        if kind == "(":
+            self._pos = pos + 1
+            inner = self._expr(self._ixatom)
             self._expect(")")
             return inner
         raise self._error(f"expected {expected}, found {self._shown()}")

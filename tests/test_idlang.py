@@ -39,8 +39,9 @@ from fibluc.idlang import (
     VarDelta,
     VarX,
     VarY,
+    _tokenize,
 )
-from oracles import poly_luc
+from oracles import poly_luc, tokenize
 
 
 # -- golden ASTs --------------------------------------------------------------
@@ -109,33 +110,40 @@ def test_omitted_arguments_default_to_x_y():
 # -- parse errors -------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "source",
-    [
-        "",
-        "F[n",
-        "F[n] =",
-        "= F[n]",
-        "F[n] = L[n] = L[n]",
-        "1 +",
+_SYNTAX_ERRORS = [
+    ("", "expected an expression, found 'end of input'", 1, 1),
+    ("F[n", "expected ']', found 'end of input'", 1, 4),
+    ("F[n] =", "expected an expression, found 'end of input'", 1, 7),
+    ("= F[n]", "expected an expression, found '='", 1, 1),
+    ("F[n] = L[n] = L[n]", "unexpected trailing input '='", 1, 13),
+    ("1 +", "expected an expression, found 'end of input'", 1, 4),
+    (
         "x^",
-        "x ^ y",
-        "binom(n)",
-        "sum(x=0..2, x)",
-        "sum(r=0..2)",
-        "F(n)",
-        "F[n](x)",
-        "2..3",
-        "x $ y",
-        "x . y",
-        "((x)",
-    ],
+        "expected an exponent (integer, meta-variable, or parenthesized index), "
+        "found 'end of input'",
+        1,
+        3,
+    ),
+    ("x ^ y", "unknown name 'y'", 1, 5),
+    ("binom(n)", "expected ',', found ')'", 1, 8),
+    ("sum(x=0..2, x)", "'x' is reserved and cannot be a sum variable", 1, 5),
+    ("sum(r=0..2)", "expected ',', found ')'", 1, 11),
+    ("F(n)", "'F' must be applied as F[index]", 1, 1),
+    ("F[n](x)", "expected ',', found ')'", 1, 7),
+    ("2..3", "expected '=', found '..'", 1, 2),
+    ("x $ y", "unexpected character '$'", 1, 3),
+    ("x . y", "unexpected character '.'", 1, 3),
+    ("((x)", "expected ')', found 'end of input'", 1, 5),
+]
+
+
+@pytest.mark.parametrize(
+    "source, message, line, col", _SYNTAX_ERRORS, ids=[case[0] for case in _SYNTAX_ERRORS]
 )
-def test_syntax_errors_are_positioned(source):
+def test_syntax_errors_are_positioned(source, message, line, col):
     with pytest.raises(ParseError) as info:
         parse(source)
-    assert info.value.line >= 1
-    assert info.value.col >= 1
+    assert (info.value.message, info.value.line, info.value.col) == (message, line, col)
 
 
 def test_unknown_name_outside_scope():
@@ -382,6 +390,27 @@ def test_corpus_multi_line_cases():
 
 
 # -- fuzzing ---------------------------------------------------------------------------
+
+
+def _tokens_or_error(tokenizer, source):
+    try:
+        return tokenizer(source)
+    except ParseError as exc:
+        return (exc.message, exc.line, exc.col)
+
+
+# Unicode digits and whitespace, dots and every punctuation mark, among any
+# other characters: the tokenizer must treat each exactly as the reference does
+_TRICKY = [
+    "²", "٣", "x1", "F", "7", "\u00a0", "\u2003", "\x1c", "\n", "\t", ".", "..", "...",
+    *"+-*^()[],=$?_",
+]
+
+
+@given(st.lists(st.one_of(st.sampled_from(_TRICKY), st.characters()), max_size=30).map("".join))
+@settings(max_examples=500)
+def test_tokenizer_matches_the_reference_character_loop(source):
+    assert _tokens_or_error(_tokenize, source) == _tokens_or_error(tokenize, source)
 
 
 @given(st.text(max_size=60))

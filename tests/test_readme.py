@@ -1,0 +1,14 @@
+"""The README's published examples run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_quick_start_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], f"{README}:Library quick start", "exec"), {})
