@@ -201,9 +201,7 @@ class Pow(Node):
     level = _LEVEL_POW
 
     def _eval(self, env: Mapping[str, int]):
-        exponent = _eval_index(self.exponent, env)
-        if exponent < 0:
-            raise _domain_error(f"negative exponent {exponent}", self, env)
+        exponent = _eval_index(self.exponent, env, self, "exponent")
         return self.base._eval(env) ** exponent
 
     def _free(self, bound: tuple[str, ...]) -> set[str]:
@@ -224,11 +222,8 @@ class Binom(Node):
     lower: "Node"
 
     def _eval(self, env: Mapping[str, int]) -> int:
-        upper = _eval_index(self.upper, env)
-        lower = _eval_index(self.lower, env)
-        if upper < 0:
-            raise _domain_error(f"negative binomial index {upper}", self, env)
-        return binomial(upper, lower)
+        upper = _eval_index(self.upper, env, self, "binomial index")
+        return binomial(upper, _eval_index(self.lower, env))
 
     def _free(self, bound: tuple[str, ...]) -> set[str]:
         return self.upper._free(bound) | self.lower._free(bound)
@@ -272,9 +267,7 @@ class SeqApp(Node):
     args: tuple["Node", "Node"] | None = None
 
     def _eval(self, env: Mapping[str, int]):
-        index = _eval_index(self.index, env)
-        if index < 0:
-            raise _domain_error(f"negative sequence index {index}", self, env)
+        index = _eval_index(self.index, env, self, "sequence index")
         args = () if self.args is None else (self.args[0]._eval(env), self.args[1]._eval(env))
         return seq(SeqKind(self.kind), index, *args)
 
@@ -552,10 +545,19 @@ def parse_expression(source: str) -> Node:
 # -- evaluation -------------------------------------------------------------------
 
 
-def _eval_index(node: Node, env: Mapping[str, int]) -> int:
+def _eval_index(
+    node: Node, env: Mapping[str, int], owner: Node | None = None, noun: str = ""
+) -> int:
+    """Integer value of an index expression.
+
+    Where ``owner``, the node the index belongs to, is given, a negative
+    value is outside the domain: ``negative <noun> <value> in <owner> ...``.
+    """
     value = node._eval(env)
     if not isinstance(value, int):
         raise ValueError(f"not an index expression: {render(node)}")
+    if owner is not None and value < 0:
+        raise _domain_error(f"negative {noun} {value}", owner, env)
     return value
 
 
@@ -629,7 +631,6 @@ def render(node: Node) -> str:
 class CorpusEntry:
     case_id: str
     source: str
-    line_no: int
     ast: Eq
 
 
@@ -667,5 +668,5 @@ def load_corpus(path=None) -> list[CorpusEntry]:
         except ParseError as exc:  # report the position in the file, not in the stripped line
             indent = len(raw) - len(raw.lstrip())
             raise ParseError(exc.message, line_no, exc.col + indent) from None
-        entries.append(CorpusEntry(current_id, line, line_no, ast))
+        entries.append(CorpusEntry(current_id, line, ast))
     return entries

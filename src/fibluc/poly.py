@@ -41,7 +41,23 @@ def _coefficient(value: _Coeff) -> _Coeff:
     raise TypeError(f"not a rational coefficient: {value!r}")
 
 
-class BivarPoly:
+class _Ring:
+    """Subtraction for both ring value types: addition of the negation.
+
+    The other operators stay in each class's own ``__dict__``, where
+    ``bench/tracer.py`` reads and wraps them.
+    """
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return other + (-self)
+
+
+class BivarPoly(_Ring):
     """Sparse bivariate polynomial in x and y with rational coefficients."""
 
     __slots__ = ("_terms",)
@@ -69,9 +85,6 @@ class BivarPoly:
     def terms(self) -> dict[Monomial, _Coeff]:
         """Copy of the term mapping; the polynomial itself stays immutable."""
         return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     # -- ring structure ---------------------------------------------------
 
@@ -109,12 +122,6 @@ class BivarPoly:
         result = BivarPoly.__new__(BivarPoly)
         result._terms = {mono: -coeff for mono, coeff in self._terms.items()}
         return result
-
-    def __sub__(self, other: object) -> BivarPoly:
-        return self + (-other)
-
-    def __rsub__(self, other: object) -> BivarPoly:
-        return other + (-self)
 
     def __mul__(self, other: object) -> BivarPoly:
         rhs = self._coerce(other)
@@ -302,7 +309,7 @@ ONE = BivarPoly.const(1)
 DISCRIMINANT = BivarPoly({(2, 0): 1, (0, 1): 4})
 
 
-class QuadExtElem:
+class QuadExtElem(_Ring):
     """Element a + b*D of Q[x, y][D] / (D^2 - (x^2 + 4y)).
 
     Multiplication reduces D^2 to the discriminant:
@@ -352,12 +359,6 @@ class QuadExtElem:
     def __neg__(self) -> QuadExtElem:
         return QuadExtElem(-self._a, -self._b)
 
-    def __sub__(self, other: object) -> QuadExtElem:
-        return self + (-other)
-
-    def __rsub__(self, other: object) -> QuadExtElem:
-        return other + (-self)
-
     def __mul__(self, other: object) -> QuadExtElem:
         if isinstance(other, QuadExtElem):
             a, b, c, d = self._a, self._b, other._a, other._b
@@ -380,7 +381,7 @@ class QuadExtElem:
         return self._a == rhs._a and self._b == rhs._b
 
     def __hash__(self) -> int:
-        if self._b.is_zero():
+        if not self._b:
             return hash(self._a)
         return hash((self._a, self._b))
 

@@ -208,9 +208,17 @@ def test_evaluate_negative_exponent_raises_domain_error():
 
 
 def test_evaluate_lifts_integer_results_to_polynomials():
-    value = evaluate(parse_expression("2^3 - binom(4, 2)"), {})
-    assert isinstance(value, BivarPoly)
-    assert value == 2
+    # the sign rule covers the binomial upper index only: a lower index out of
+    # range gives 0, and a sum bound may be negative
+    for source, expected in [
+        ("2^3 - binom(4, 2)", 2),
+        ("binom(3, 0-1)", 0),
+        ("binom(3, 4)", 0),
+        ("sum(r=0-1..1, r)", 0),
+    ]:
+        value = evaluate(parse_expression(source), {})
+        assert isinstance(value, BivarPoly), source
+        assert value == expected, source
 
 
 def test_index_position_rejects_ring_values():

@@ -34,7 +34,7 @@ from fibluc import (
     seq,
     seq_terms,
 )
-from fibluc import evaluate, parse_expression, sequences
+from fibluc import evaluate, identities, parse_expression, sequences
 from fibluc._seqcache import fib_poly, luc_poly
 from oracles import int_seq, poly_fib, poly_luc
 
@@ -53,6 +53,13 @@ def test_lucas_three():
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         seq(SeqKind.FIB, -1)
+
+
+def test_the_names_the_tracer_patches_are_fib_and_luc():
+    # bench/tracer.py counts F/L reads by patching these names; each is the
+    # one function of its family, not a wrapper around it
+    assert fib_poly is sequences.fib and luc_poly is sequences.luc
+    assert identities.fib_poly is fib_poly and identities.luc_poly is luc_poly
 
 
 def test_cached_table_rejects_a_negative_index():
