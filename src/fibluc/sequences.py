@@ -8,13 +8,14 @@ deliberately generic over its arguments so the same code produces classic
 polynomials, polynomials composed with other polynomials, extension-ring
 values, and plain integer or rational specializations.
 
-:func:`seq` returns every F and L value the package uses, and keeps terms in
-one of two ways.  For the generator pair (x, y) it keeps every term of F and
-of L computed so far up to index 640, in one list per kind.  For each of the
-last 64 other argument pairs it was called with, and for the generator pair
-past index 640, it keeps the last two terms of its most recent walk, so a
-request at the same or a higher index steps on from there; those terms stay
-alive until 64 other pairs have been used since.  A lock guards each kind of
+:func:`seq` returns every F and L value the package uses.  For each kind
+and argument pair it keeps the terms it has computed, up to a size bound: the
+list u_0 .. u_t while it fits half the bound, then every eighth pair of
+consecutive terms while they fit the rest, and the last two terms of its
+latest walk.  A request at or below t reads the list; a higher one steps on
+from the closest kept terms below it, not from the seeds.  The generator
+pair (x, y) has a pinned entry per kind; the 64 other pairs used most
+recently keep theirs, within a total size budget.  A lock guards each kind of
 store, so everything here is safe to invoke concurrently.
 """
 
@@ -63,14 +64,118 @@ def seq_terms(kind: SeqKind, x_arg=X, y_arg=Y) -> Iterator:
         u_prev, u_cur = u_cur, _next_term(x_arg, y_arg, u_prev, u_cur)
 
 
-#: Argument pairs whose last walk :func:`seq` keeps; the least recently used goes first.
-#: A catalog grid keeps about 1.5 pairs live per k (the (10,6) grid needs 12,
-#: k up to 20 needs 32), so this serves k ranges up to about 40; a wider one
-#: cycles through more pairs than this and restarts every walk.
+#: Estimated bytes per stored monomial, or per plain number: its dict entry,
+#: exponent key and coefficient header, which tracemalloc puts at 120-140 bytes
+#: on lists of F_n(x, y) and F_n(2x, y).  The coefficient's bits count on top,
+#: at bits / 8, so a list of huge numbers is measured by its digits.
+_MONOMIAL_BYTES = 128
+#: Estimated bytes each kind keeps for one argument pair: its list fills half,
+#: its marks the rest.  The list of F(x, y) then reaches F_298 (F_0 .. F_640
+#: is 16.8 MB) and its marks F_634, that of F(1, 1) F_7170, and every list of
+#: the ``composed`` grid stays whole.  Past it a pair walks, so ``eval F 2000``
+#: and ``eval F 100000 --at 1,1`` hold about 6 MB more than their walks: max
+#: RSS 18.8 -> 24.9 and 17.0 -> 21.9 MB over two terms alone, where twice this
+#: bound, 32.1 and 29.0 MB, is past 1.5 times the two-term figure.
+_TERMS_BYTES = 6 << 20
+#: Index spacing of the marks kept past a full list: a request past the list
+#: steps at most this far while marks are kept.  ``catalog --n-max 24
+#: --k-max 12`` takes 7377 recurrence steps with 8 and 11025 with 16, against
+#: 7951 with a table of every term to 640 and 42867 with no marks.
+_MARK_STEP = 8
+#: Estimated bytes of the entries of all pairs other than (x, y) together.
+#: Past it the least recently used give up their lists and marks but keep
+#: their walks: on the (16,30) grid of the composed-argument cases that takes
+#: 12264 recurrence steps, against 20923 when whole entries go and 30249 with
+#: two terms per pair.  At 16 MB the (24,12) and (40,10) grids step as without it.
+_PAIRS_BYTES = 16 << 20
+#: Argument pairs other than (x, y) whose entries :func:`seq` keeps; the least
+#: recently used goes first.  A catalog grid keeps about 1.5 pairs live per k
+#: (the (10,6) grid needs 12, k up to 20 needs 32), so this serves k ranges up
+#: to about 40; a wider one cycles through more pairs than this and starts
+#: each again from the seeds.
 _WALKS_MAX = 64
-_walks_lock = threading.Lock()
-# (kind, _types(x_arg), x_arg, _types(y_arg), y_arg) -> (m, u_{m-1}, u_m), oldest use first
-_walks: dict = {}
+
+
+def _size(value) -> int:
+    """Estimated bytes of one term: ``_MONOMIAL_BYTES`` per monomial, plus bits / 8."""
+    kind = type(value)
+    if kind is QuadExtElem:
+        return _size(value.a) + _size(value.b)
+    numbers = value.terms.values() if kind is BivarPoly else (value,)
+    try:
+        bits = sum(map(int.bit_length, numbers))
+    except TypeError:  # a Fraction among them
+        bits = sum(q.numerator.bit_length() + q.denominator.bit_length() for q in numbers)
+    return _MONOMIAL_BYTES * len(numbers) + bits // 8
+
+
+class _Terms:
+    """The terms one kind keeps for one argument pair, within ``_TERMS_BYTES``.
+
+    ``terms`` is u_0 .. u_t, every term computed while the list fits half
+    the bound.  Past t, ``marks[j - 1]`` is the pair (u_{m-1}, u_m) at
+    m = t + j * ``_MARK_STEP``, kept while ``marking``: while everything
+    fits the bound (``size``, by :func:`_size`).  ``walk`` is
+    (m, u_{m-1}, u_m) for the last index stepped to past t.  The list and
+    the marks only gain whole terms and the walk is set once per call, so a
+    step that raises leaves every field correct.
+    """
+
+    __slots__ = ("terms", "marks", "marking", "size", "walk")
+
+    def __init__(self, kind: SeqKind, x_arg) -> None:
+        self.terms = list(_seeds(kind, x_arg))
+        self.marks: list = []
+        self.marking = True
+        self.size = sum(map(_size, self.terms))
+        self.walk = None
+
+    def term(self, n: int, x_arg, y_arg):
+        """u_n: a list read at or below t, else a step on from the closest kept term pair below."""
+        terms = self.terms
+        if self.walk is None:
+            while len(terms) <= n:
+                u_next = _next_term(x_arg, y_arg, terms[-2], terms[-1])
+                size = self.size + _size(u_next)
+                if 2 * size > _TERMS_BYTES:
+                    self.walk = (len(terms), terms[-1], u_next)
+                    break
+                terms.append(u_next)
+                self.size = size
+        if n < len(terms):
+            return terms[n]
+        top = len(terms) - 1
+        marks = self.marks
+        j = min(len(marks), (n - top) // _MARK_STEP)
+        m = top + j * _MARK_STEP
+        u_prev, u_cur = marks[j - 1] if j else terms[-2:]
+        if m < self.walk[0] <= n + 1:
+            m, u_prev, u_cur = self.walk
+        next_mark = top + (len(marks) + 1) * _MARK_STEP if self.marking else -1
+        while m < n:
+            u_prev, u_cur = u_cur, _next_term(x_arg, y_arg, u_prev, u_cur)
+            m += 1
+            if m == next_mark:
+                size = self.size + _size(u_prev) + _size(u_cur)
+                if size > _TERMS_BYTES:
+                    self.marking = False
+                    next_mark = -1
+                else:
+                    marks.append((u_prev, u_cur))
+                    self.size = size
+                    next_mark += _MARK_STEP
+        self.walk = (m, u_prev, u_cur)
+        return u_cur if m == n else u_prev
+
+    def drop_terms(self) -> None:
+        """Keep the seeds and the walk alone: below the walk, steps start from u_1."""
+        terms = self.terms
+        if self.walk is None:
+            self.walk = (len(terms) - 1, terms[-2], terms[-1])
+        self.terms = terms[:2]
+        self.marks = []
+        self.marking = False
+        self.size = sum(map(_size, self.terms))
 
 
 def _types(value):
@@ -87,55 +192,75 @@ def _types(value):
     return kind
 
 
-#: Every term of F(x, y) and of L(x, y) computed so far, up to index _TABLE_MAX.
-#: A catalog grid asks for lower indices again and again (8x slower on the walk
-#: alone), but a table to index n grows as n^3 (17 MB per kind at 640), so it
-#: stops past the 620 of ``catalog --n-max 30 --k-max 10``.  A fill appends
-#: whole terms only, so one that is interrupted leaves a correct table.
-_TABLE_MAX = 640
-_tables_lock = threading.Lock()
-_tables = {kind: list(_seeds(kind, X)) for kind in SeqKind}
+_generator_lock = threading.Lock()
+_generator = {kind: _Terms(kind, X) for kind in SeqKind}
+_pairs_lock = threading.Lock()
+# (kind, _types(x_arg), x_arg, _types(y_arg), y_arg) -> _Terms, oldest use first
+_pairs: dict = {}
+# the sum of the sizes of the entries in _pairs
+_pairs_size = 0
+
+
+def _put_back(key, entry: _Terms) -> None:
+    """Store entry as the most recently used pair; the caller holds ``_pairs_lock``."""
+    global _pairs_size
+    replaced = _pairs.pop(key, None)
+    if replaced is not None:
+        _pairs_size -= replaced.size
+    _pairs[key] = entry
+    _pairs_size += entry.size
+    if len(_pairs) > _WALKS_MAX:
+        _pairs_size -= _pairs.pop(next(iter(_pairs))).size
+    for oldest in _pairs.values():
+        if _pairs_size <= _PAIRS_BYTES:
+            break
+        _pairs_size -= oldest.size
+        oldest.drop_terms()
+        _pairs_size += oldest.size
 
 
 def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
     """n-th term of :func:`seq_terms`: every F and L value comes from here.
 
-    For the generator pair itself (``x_arg is X and y_arg is Y``) and n up
-    to ``_TABLE_MAX`` the term is read from the kind's table, extended to n
-    under its lock.  The table keeps every term: ``seq(FIB, 600)`` keeps
-    F_0 .. F_600 alive for the life of the process.  Any other pair, and the generator
-    pair past ``_TABLE_MAX``, steps on from its last walk.
+    Each kind keeps, for each argument pair, a :class:`_Terms` entry: the
+    list u_0 .. u_t of the terms it has computed while it fits half of
+    ``_TERMS_BYTES``, marks past t while they fit the rest, and its latest
+    walk.  A request at or below t reads the list; one above steps on from
+    the walk, or from the mark or u_t below it, not from the seeds.
+    ``seq(FIB, 2000)`` keeps F_0 .. F_298, 42 marks up to F_634 and
+    F_1999, F_2000 alive for the life of the process.
 
-    A walk is keyed by the kind and the argument pair with their types and
-    coefficient types, so only arguments that compute alike share one, and
-    the arguments must be hashable.  A request below the walk's last two
-    terms restarts from the seeds.  The walk is taken out of its store while
+    The generator pair itself (``x_arg is X and y_arg is Y``) has one
+    entry per kind, extended under its lock.  Any other pair is keyed by
+    the kind and the argument pair with their types and coefficient
+    types, so only arguments that compute alike share one, and the
+    arguments must be hashable.  Its entry is taken out of its store while
     it steps, so one that is interrupted is dropped, not left half done.
-    A walk holds its last two terms until 64 other pairs have been used
-    since: ``seq(FIB, 100000, 1, 1)`` keeps F_99999 and F_100000 alive until then.
+    The 64 other pairs used most recently keep their entries, and the
+    least recently used of them give up their lists and marks past
+    ``_PAIRS_BYTES`` in all; such a pair steps from the seeds again below
+    its walk.
     """
+    global _pairs_size
     if n < 0:
         raise ValueError(f"sequence index must be nonnegative, got {n}")
-    if x_arg is X and y_arg is Y and n <= _TABLE_MAX:
-        with _tables_lock:
-            table = _tables[kind]
-            while len(table) <= n:
-                table.append(_next_term(X, Y, table[-2], table[-1]))
-            return table[n]
+    if x_arg is X and y_arg is Y:
+        with _generator_lock:
+            return _generator[kind].term(n, X, Y)
     key = (kind, _types(x_arg), x_arg, _types(y_arg), y_arg)
-    with _walks_lock:
-        walk = _walks.pop(key, None)
-    if walk is None or walk[0] - 1 > n:
-        walk = (1, *_seeds(kind, x_arg))
-    m, u_prev, u_cur = walk
-    while m < n:
-        u_prev, u_cur = u_cur, _next_term(x_arg, y_arg, u_prev, u_cur)
-        m += 1
-    with _walks_lock:
-        _walks[key] = (m, u_prev, u_cur)
-        if len(_walks) > _WALKS_MAX:
-            del _walks[next(iter(_walks))]
-    return u_cur if m == n else u_prev
+    with _pairs_lock:
+        entry = _pairs.pop(key, None)
+        if entry is not None:
+            if n < len(entry.terms):
+                _pairs[key] = entry
+                return entry.terms[n]
+            _pairs_size -= entry.size
+    if entry is None:
+        entry = _Terms(kind, x_arg)
+    value = entry.term(n, x_arg, y_arg)
+    with _pairs_lock:
+        _put_back(key, entry)
+    return value
 
 
 def fib(n: int, x_arg=X, y_arg=Y):

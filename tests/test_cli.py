@@ -7,6 +7,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
+from itertools import islice
 
 import hypothesis.strategies as st
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from fibluc import cli, sequences
 from fibluc.cli import main, run
 from fibluc.idlang import MAX_DEPTH
-from fibluc.sequences import SeqKind, seq
+from fibluc.sequences import SeqKind, seq, seq_terms
 from oracles import int_seq
 
 
@@ -46,13 +47,19 @@ def test_eval_at_point(capsys):
     assert out.strip() == "55"
 
 
-def test_eval_past_the_generator_table_keeps_two_terms(capsys):
-    # a table of every term to F_2000 took 260 MB; past the bound eval walks
-    n = sequences._TABLE_MAX + 1
-    code, out, err = run_cli(capsys, "eval", "F", str(n))
+def test_eval_past_the_generator_table_keeps_two_terms(capsys, monkeypatch):
+    # a list of every term to F_2000 took 260 MB; past the size bound eval
+    # keeps a few pairs of terms, then walks on with two
+    monkeypatch.setattr(sequences, "_TERMS_BYTES", 40_000)
+    fresh = {kind: sequences._Terms(kind, sequences.X) for kind in SeqKind}
+    monkeypatch.setattr(sequences, "_generator", fresh)
+    code, out, err = run_cli(capsys, "eval", "F", "120")
     assert (code, err) == (0, "")
-    assert out == f"{seq(SeqKind.FIB, n)}\n"
-    assert len(sequences._tables[SeqKind.FIB]) <= sequences._TABLE_MAX + 1
+    assert out == f"{next(islice(seq_terms(SeqKind.FIB), 120, None))}\n"
+    entry = fresh[SeqKind.FIB]
+    assert entry.walk[0] == 120 and not entry.marking
+    assert len(entry.terms) + len(entry.marks) * sequences._MARK_STEP < 100
+    assert entry.size <= 40_000
 
 
 def test_results_past_the_int_to_str_digit_limit_are_printed(capsys):

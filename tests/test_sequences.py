@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -79,9 +80,31 @@ def test_cached_tables_match_oracle():
         assert luc_poly(n).terms == poly_luc(n)
 
 
+def fresh_generator_lists(patch):
+    """Give the generator pair new, empty term lists for the rest of the test."""
+    patch.setattr(sequences, "_generator", {kind: sequences._Terms(kind, X) for kind in SeqKind})
+    return sequences._generator
+
+
+def small_bounds(patch, terms_bytes, pairs_bytes=1 << 30, mark_step=8):
+    """Bound every term store small, and start each empty, for the rest of the test."""
+    patch.setattr(sequences, "_TERMS_BYTES", terms_bytes)
+    patch.setattr(sequences, "_PAIRS_BYTES", pairs_bytes)
+    patch.setattr(sequences, "_MARK_STEP", mark_step)
+    patch.setattr(sequences, "_pairs", {})
+    patch.setattr(sequences, "_pairs_size", 0)
+    return fresh_generator_lists(patch)
+
+
+def stored_size(entry):
+    """The size of every term an entry keeps in its list and marks, by the store's measure."""
+    kept = [*entry.terms, *(term for mark in entry.marks for term in mark)]
+    return sum(map(sequences._size, kept))
+
+
 def test_interrupted_cache_fill_recovers(monkeypatch):
-    # an exception inside the fill must not break the table for later calls
-    n = len(sequences._tables[SeqKind.FIB]) + 5
+    # an exception inside the fill must not break the list for later calls
+    n = len(fresh_generator_lists(monkeypatch)[SeqKind.FIB].terms) + 5
     real_mul = BivarPoly.__mul__
     calls = []
 
@@ -106,27 +129,31 @@ def test_the_generator_pair_has_one_table(monkeypatch):
         return real_next_term(*args)
 
     monkeypatch.setattr(sequences, "_next_term", counting_next_term)
-    top = len(sequences._tables[SeqKind.FIB]) + 19
+    top = len(fresh_generator_lists(monkeypatch)[SeqKind.FIB].terms) + 19
     for n in range(top + 1):
         value = fib_poly(n)
         assert fib(n) is value
         assert seq(SeqKind.FIB, n) is value
         assert evaluate(parse_expression("F[n](x, y)"), {"n": n}) is value
-    assert len(steps) == 20  # once for each of the 20 indices past the table
+    assert len(steps) == 20  # once for each of the 20 indices past the seeds
     for n in range(top, -1, -1):
         assert seq(SeqKind.FIB, n, X, Y) is fib_poly(n)
     assert len(steps) == 20
 
 
 def test_the_generator_pair_walks_past_its_table(monkeypatch):
-    # the table stops at a fixed index: past it F(x, y) keeps two terms, not all
-    table = sequences._tables[SeqKind.LUC]
-    top = len(table) + 3
-    monkeypatch.setattr(sequences, "_TABLE_MAX", top)
-    for n in range(top + 12, top - 4, -1):
+    # the list stops at a size bound: past it L(x, y) keeps every eighth pair
+    # of terms while they fit the bound, then two terms, not all
+    entry = fresh_generator_lists(monkeypatch)[SeqKind.LUC]
+    monkeypatch.setattr(sequences, "_TERMS_BYTES", 40_000)
+    for n in range(100, -1, -1):
         assert luc(n).terms == poly_luc(n)
-    assert len(table) == top + 1
-    assert luc(top) is table[top]
+    top = len(entry.terms) - 1
+    assert 2 * sum(map(sequences._size, entry.terms)) <= 40_000
+    assert 0 < len(entry.marks) and top + len(entry.marks) * sequences._MARK_STEP < 90
+    assert not entry.marking
+    assert entry.size == stored_size(entry) <= 40_000
+    assert luc(top) is entry.terms[top]
 
 
 def test_terms_are_computed_only_when_requested():
@@ -190,6 +217,37 @@ def test_any_run_of_requests_gives_the_generator_terms(requests):
         assert _types(value) == _types(expected)
 
 
+@given(
+    st.lists(_REQUEST, min_size=20, max_size=80),
+    st.integers(0, 8000),
+    st.integers(0, 30_000),
+    st.integers(1, 9),
+)
+def test_requests_across_the_size_bounds_give_the_generator_terms(
+    requests, terms_bytes, pairs_bytes, mark_step
+):
+    # bounds this small put most lists past their bound, with marks, within
+    # 40 indices, and make the pairs give up their lists and their entries
+    with pytest.MonkeyPatch.context() as patch:
+        small_bounds(patch, terms_bytes, pairs_bytes, mark_step)
+        patch.setattr(sequences, "_WALKS_MAX", 5)
+        for kind, n, i in requests:
+            value = seq(kind, n, *_PAIRS[i])
+            expected = _TERMS[kind, i][n]
+            assert value == expected
+            assert _types(value) == _types(expected)
+        pairs = list(sequences._pairs.values())
+        for entry in [*sequences._generator.values(), *pairs]:
+            seeds_alone = len(entry.terms) == 2 and not entry.marks
+            assert entry.size == stored_size(entry)
+            assert entry.size <= terms_bytes or seeds_alone
+        assert len(pairs) <= 5
+        assert sequences._pairs_size == sum(entry.size for entry in pairs)
+        assert sequences._pairs_size <= pairs_bytes or all(
+            len(entry.terms) == 2 and not entry.marks for entry in pairs
+        )
+
+
 def test_equal_arguments_of_different_types_walk_apart():
     assert type(seq(SeqKind.FIB, 5, 1, 1)) is int
     assert type(seq(SeqKind.FIB, 5, ONE, ONE)) is BivarPoly
@@ -228,7 +286,60 @@ def test_ascending_requests_step_on_from_the_last_walk():
     assert seq(SeqKind.FIB, 30, one, 1) == fibs[30]
     assert steps == []
     assert seq(SeqKind.FIB, 10, one, 1) == fibs[10]
-    assert len(steps) == 9  # restarted from the seeds
+    assert steps == []  # read from the pair's list
+
+
+def test_past_the_bound_a_request_steps_on_from_the_closest_kept_terms(monkeypatch):
+    small_bounds(monkeypatch, 6000)
+    one, steps = counting_one()
+    fibs = int_seq(0, 1, 1, 1, 201)
+    assert seq(SeqKind.FIB, 200, one, 1) == fibs[200]
+    (entry,) = sequences._pairs.values()
+    top = len(entry.terms) - 1
+    assert 2 < top < 200 and 0 < len(entry.marks) and not entry.marking
+    step = sequences._MARK_STEP
+    for n, from_index in [(top + 3, top), (top + step + 5, top + step), (top + 1, top)]:
+        steps.clear()
+        assert seq(SeqKind.FIB, n, one, 1) == fibs[n]
+        assert len(steps) == n - from_index  # not n - 1 from the seeds
+
+
+def test_the_full_generator_list_steps_on_from_its_top(monkeypatch):
+    entry = fresh_generator_lists(monkeypatch)[SeqKind.FIB]
+    while entry.walk is None:
+        seq(SeqKind.FIB, len(entry.terms))
+    top = len(entry.terms) - 1
+    assert top > 200  # past every index the default catalog grid reads
+    assert seq(SeqKind.FIB, top + 20).terms == poly_fib(top + 20)
+    steps = []
+    real_next_term = sequences._next_term
+
+    def counting_next_term(*args):
+        steps.append(None)
+        return real_next_term(*args)
+
+    monkeypatch.setattr(sequences, "_next_term", counting_next_term)
+    assert seq(SeqKind.FIB, top + 1).terms == poly_fib(top + 1)
+    assert len(steps) == 1  # from F_top, not top + 1 steps from the seeds
+
+
+def test_long_walks_keep_at_most_the_bound(monkeypatch):
+    # a measure that counted an int term as one unit let F(1, 1) keep 18 MB
+    monkeypatch.setattr(sequences, "_pairs", {})
+    monkeypatch.setattr(sequences, "_pairs_size", 0)
+    tracemalloc.start()
+    try:
+        assert seq(SeqKind.FIB, 100000, 1, 1) % 1000 == 875
+        # the list, its marks and the walk, as the allocator counts them
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1.25 * sequences._TERMS_BYTES
+    assert seq(SeqKind.FIB, 3000, 2 * X, Y).terms[(2999, 0)] == 2**2999
+    entries = list(sequences._pairs.values())
+    assert len(entries) == 2 and all(entry.walk is not None for entry in entries)
+    for entry in entries:
+        assert entry.size == stored_size(entry) <= sequences._TERMS_BYTES
 
 
 def _expected_luc(n, x_arg):
@@ -236,22 +347,29 @@ def _expected_luc(n, x_arg):
 
 
 def test_an_interrupted_walk_leaves_later_calls_correct(monkeypatch):
-    x_arg = X + 5  # an argument pair no other test walks
-    assert seq(SeqKind.LUC, 4, x_arg, Y) == _expected_luc(4, x_arg)
     real_mul = BivarPoly.__mul__
-    calls = []
+    x_arg = X + 5  # an argument pair no other test walks
+    for below, above, terms_bytes in [(4, 9, None), (40, 60, 120_000)]:
+        if terms_bytes:
+            # the list stops at u_15 and keeps one mark, at u_23, so the step
+            # that fails is a walk's, past the bound
+            small_bounds(monkeypatch, terms_bytes)
+        assert seq(SeqKind.LUC, below, x_arg, Y) == _expected_luc(below, x_arg)
+        calls = []
 
-    def mul_failing_once(self, other):
-        calls.append(None)
-        if len(calls) == 3:  # inside the second step past the kept walk
-            raise RuntimeError("interrupted")
-        return real_mul(self, other)
+        def mul_failing_once(self, other):
+            calls.append(None)
+            if len(calls) == 3:  # inside the second step past the kept terms
+                raise RuntimeError("interrupted")
+            return real_mul(self, other)
 
-    monkeypatch.setattr(BivarPoly, "__mul__", mul_failing_once)
-    with pytest.raises(RuntimeError, match="interrupted"):
-        seq(SeqKind.LUC, 9, x_arg, Y)
-    assert seq(SeqKind.LUC, 9, x_arg, Y) == _expected_luc(9, x_arg)
-    assert seq(SeqKind.LUC, 12, x_arg, Y) == _expected_luc(12, x_arg)
+        with monkeypatch.context() as patch:
+            patch.setattr(BivarPoly, "__mul__", mul_failing_once)
+            with pytest.raises(RuntimeError, match="interrupted"):
+                seq(SeqKind.LUC, above, x_arg, Y)
+        assert seq(SeqKind.LUC, above, x_arg, Y) == _expected_luc(above, x_arg)
+        assert seq(SeqKind.LUC, above + 3, x_arg, Y) == _expected_luc(above + 3, x_arg)
+        assert seq(SeqKind.LUC, below + 1, x_arg, Y) == _expected_luc(below + 1, x_arg)
 
 
 @pytest.mark.parametrize("others,steps_again", [(63, 0), (64, 9)])
@@ -290,7 +408,7 @@ def test_threads_sharing_walks_get_the_generator_terms():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    assert len(sequences._walks) <= sequences._WALKS_MAX
+    assert len(sequences._pairs) <= sequences._WALKS_MAX
 
 
 def test_composed_argument_generator():
