@@ -74,7 +74,7 @@ _MONOMIAL_BYTES = 128
 #: is 16.8 MB) and its marks F_634, that of F(1, 1) F_7170, and every list of
 #: the ``composed`` grid stays whole.  Past it a pair walks, so ``eval F 2000``
 #: and ``eval F 100000 --at 1,1`` hold about 6 MB more than their walks: max
-#: RSS 18.8 -> 24.9 and 17.0 -> 21.9 MB over two terms alone, where twice this
+#: RSS 18.8 -> 24.7 and 17.0 -> 22.3 MB over two terms alone, where twice this
 #: bound, 32.1 and 29.0 MB, is past 1.5 times the two-term figure.
 _TERMS_BYTES = 6 << 20
 #: Index spacing of the marks kept past a full list: a request past the list
