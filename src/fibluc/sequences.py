@@ -15,8 +15,10 @@ consecutive terms while they fit the rest, and the last two terms of its
 latest walk.  A request at or below t reads the list; a higher one steps on
 from the closest kept terms below it, not from the seeds.  The generator
 pair (x, y) has a pinned entry per kind; the 64 other pairs used most
-recently keep theirs, within a total size budget.  A lock guards each kind of
-store, so everything here is safe to invoke concurrently.
+recently keep theirs, within a total size budget.  One lock guards the whole
+store and a call steps its entry in place while holding it, so everything
+here is safe to invoke concurrently, and one long walk holds up the other
+threads' calls.
 """
 
 from __future__ import annotations
@@ -116,9 +118,10 @@ class _Terms:
     the bound.  Past t, ``marks[j - 1]`` is the pair (u_{m-1}, u_m) at
     m = t + j * ``_MARK_STEP``, kept while ``marking``: while everything
     fits the bound (``size``, by :func:`_size`).  ``walk`` is
-    (m, u_{m-1}, u_m) for the last index stepped to past t.  The list and
-    the marks only gain whole terms and the walk is set once per call, so a
-    step that raises leaves every field correct.
+    (m, u_{m-1}, u_m) for the last index stepped to past t.  :func:`seq`
+    steps an entry in place under its lock.  The list and the marks only
+    gain whole terms and the walk is set once per call, so a step that
+    raises leaves every field correct.
     """
 
     __slots__ = ("terms", "marks", "marking", "size", "walk")
@@ -192,31 +195,12 @@ def _types(value):
     return kind
 
 
-_generator_lock = threading.Lock()
+_lock = threading.Lock()
 _generator = {kind: _Terms(kind, X) for kind in SeqKind}
-_pairs_lock = threading.Lock()
 # (kind, _types(x_arg), x_arg, _types(y_arg), y_arg) -> _Terms, oldest use first
 _pairs: dict = {}
 # the sum of the sizes of the entries in _pairs
 _pairs_size = 0
-
-
-def _put_back(key, entry: _Terms) -> None:
-    """Store entry as the most recently used pair; the caller holds ``_pairs_lock``."""
-    global _pairs_size
-    replaced = _pairs.pop(key, None)
-    if replaced is not None:
-        _pairs_size -= replaced.size
-    _pairs[key] = entry
-    _pairs_size += entry.size
-    if len(_pairs) > _WALKS_MAX:
-        _pairs_size -= _pairs.pop(next(iter(_pairs))).size
-    for oldest in _pairs.values():
-        if _pairs_size <= _PAIRS_BYTES:
-            break
-        _pairs_size -= oldest.size
-        oldest.drop_terms()
-        _pairs_size += oldest.size
 
 
 def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
@@ -231,36 +215,41 @@ def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
     F_1999, F_2000 alive for the life of the process.
 
     The generator pair itself (``x_arg is X and y_arg is Y``) has one
-    entry per kind, extended under its lock.  Any other pair is keyed by
-    the kind and the argument pair with their types and coefficient
-    types, so only arguments that compute alike share one, and the
-    arguments must be hashable.  Its entry is taken out of its store while
-    it steps, so one that is interrupted is dropped, not left half done.
-    The 64 other pairs used most recently keep their entries, and the
-    least recently used of them give up their lists and marks past
+    pinned entry per kind.  Any other pair is keyed by the kind and the
+    argument pair with their types and coefficient types, so only
+    arguments that compute alike share one, and the arguments must be
+    hashable.  The 64 other pairs used most recently keep their entries,
+    and the least recently used of them give up their lists and marks past
     ``_PAIRS_BYTES`` in all; such a pair steps from the seeds again below
-    its walk.
+    its walk.  One lock guards the whole store and each call steps its
+    entry in place while holding it, so two callers of one pair walk it
+    once, and one long walk holds up every other thread's call.
     """
     global _pairs_size
     if n < 0:
         raise ValueError(f"sequence index must be nonnegative, got {n}")
-    if x_arg is X and y_arg is Y:
-        with _generator_lock:
+    with _lock:
+        if x_arg is X and y_arg is Y:
             return _generator[kind].term(n, X, Y)
-    key = (kind, _types(x_arg), x_arg, _types(y_arg), y_arg)
-    with _pairs_lock:
+        key = (kind, _types(x_arg), x_arg, _types(y_arg), y_arg)
         entry = _pairs.pop(key, None)
-        if entry is not None:
-            if n < len(entry.terms):
-                _pairs[key] = entry
-                return entry.terms[n]
+        if entry is None:
+            entry = _Terms(kind, x_arg)
+        else:
             _pairs_size -= entry.size
-    if entry is None:
-        entry = _Terms(kind, x_arg)
-    value = entry.term(n, x_arg, y_arg)
-    with _pairs_lock:
-        _put_back(key, entry)
-    return value
+        _pairs[key] = entry
+        try:
+            return entry.term(n, x_arg, y_arg)
+        finally:
+            _pairs_size += entry.size
+            if len(_pairs) > _WALKS_MAX:
+                _pairs_size -= _pairs.pop(next(iter(_pairs))).size
+            for oldest in _pairs.values():
+                if _pairs_size <= _PAIRS_BYTES:
+                    break
+                _pairs_size -= oldest.size
+                oldest.drop_terms()
+                _pairs_size += oldest.size
 
 
 def fib(n: int, x_arg=X, y_arg=Y):

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -263,13 +264,17 @@ def test_equal_polynomials_with_other_coefficient_types_walk_apart():
     assert all(type(c) is Fraction for c in seq(SeqKind.LUC, 8, rational_x, Y).terms.values())
 
 
-def counting_one():
-    """An int 1 of a class of its own, and the list of recurrence steps it takes as x."""
+def counting_one(delay=0.0):
+    """An int 1 of a class of its own, and the list of recurrence steps it takes as x.
+
+    Each step sleeps ``delay`` seconds, which lets other threads run.
+    """
     steps = []
 
     class CountingInt(int):
         def __mul__(self, other):
             steps.append(other)
+            time.sleep(delay)
             return int(self) * other
 
     return CountingInt(1), steps
@@ -349,6 +354,7 @@ def _expected_luc(n, x_arg):
 def test_an_interrupted_walk_leaves_later_calls_correct(monkeypatch):
     real_mul = BivarPoly.__mul__
     x_arg = X + 5  # an argument pair no other test walks
+    key = (SeqKind.LUC, sequences._types(x_arg), x_arg, sequences._types(Y), Y)
     for below, above, terms_bytes in [(4, 9, None), (40, 60, 120_000)]:
         if terms_bytes:
             # the list stops at u_15 and keeps one mark, at u_23, so the step
@@ -367,9 +373,32 @@ def test_an_interrupted_walk_leaves_later_calls_correct(monkeypatch):
             patch.setattr(BivarPoly, "__mul__", mul_failing_once)
             with pytest.raises(RuntimeError, match="interrupted"):
                 seq(SeqKind.LUC, above, x_arg, Y)
+        # the entry stays in its store, and the store's size counts it as it is now
+        assert key in sequences._pairs
+        assert sequences._pairs_size == sum(entry.size for entry in sequences._pairs.values())
         assert seq(SeqKind.LUC, above, x_arg, Y) == _expected_luc(above, x_arg)
         assert seq(SeqKind.LUC, above + 3, x_arg, Y) == _expected_luc(above + 3, x_arg)
         assert seq(SeqKind.LUC, below + 1, x_arg, Y) == _expected_luc(below + 1, x_arg)
+
+
+def test_two_callers_of_one_pair_walk_it_once():
+    # the second caller waits for the first one's walk and reads its list
+    one, steps = counting_one(delay=0.002)
+    start = threading.Barrier(2)
+    results = []
+
+    def worker():
+        start.wait()
+        results.append(seq(SeqKind.FIB, 40, one, 7))
+
+    threads = [threading.Thread(target=worker) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [int_seq(0, 1, 1, 7, 41)[40]] * 2
+    assert len(steps) == 39  # u_2 .. u_40 once, not once per caller
 
 
 @pytest.mark.parametrize("others,steps_again", [(63, 0), (64, 9)])
