@@ -13,12 +13,17 @@ and argument pair it keeps the terms it has computed, up to a size bound: the
 list u_0 .. u_t while it fits half the bound, then every eighth pair of
 consecutive terms while they fit the rest, and the last two terms of its
 latest walk.  A request at or below t reads the list; a higher one steps on
-from the closest kept terms below it, not from the seeds.  The generator
-pair (x, y) has a pinned entry per kind; the 64 other pairs used most
-recently keep theirs, within a total size budget.  One lock guards the whole
-store and a call steps its entry in place while holding it, so everything
-here is safe to invoke concurrently, and one long walk holds up the other
-threads' calls.
+from the closest kept terms below it, not from the seeds.  Where every term
+is a weighted-homogeneous int polynomial (both arguments polynomials, or x
+an extension element, with int coefficients, and y weighing twice x), the
+list fills on Kronecker-packed ints: each part of the last two terms is one
+int at x -> 1, y -> 2^s, and a step is a few int products, shifts and adds,
+with each new term unpacked once.  Marks, walks and every other pair take
+the ring step.  The generator pair (x, y) has a pinned entry per kind; the
+64 other pairs used most recently keep theirs, within a total size budget.
+One lock guards the whole store and a call steps its entry in place while
+holding it, so everything here is safe to invoke concurrently, and one long
+walk holds up the other threads' calls.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .poly import ONE, BivarPoly, QuadExtElem, X, Y, ZERO, binary_power
+from .poly import ONE, BivarPoly, QuadExtElem, X, Y, ZERO, _pack, _unpack, binary_power
 
 
 class SeqKind(Enum):
@@ -103,12 +108,151 @@ def _size(value) -> int:
     kind = type(value)
     if kind is QuadExtElem:
         return _size(value.a) + _size(value.b)
-    numbers = value.terms.values() if kind is BivarPoly else (value,)
+    numbers = value._terms.values() if kind is BivarPoly else (value,)
     try:
         bits = sum(map(int.bit_length, numbers))
     except TypeError:  # a Fraction among them
         bits = sum(q.numerator.bit_length() + q.denominator.bit_length() for q in numbers)
     return _MONOMIAL_BYTES * len(numbers) + bits // 8
+
+
+class _Shape(NamedTuple):
+    """What a pair needs to step its list on packed ints: see :func:`_shape`."""
+
+    #: w, the weight of x_arg: each term outweighs the one before by w
+    weight: int
+    #: the weight of u_0's base part (F_1 = 1 and L_0 = 2 weigh 0)
+    weight_0: int
+    #: ||p||_1 + 5 ||q||_1 for x_arg = p + q*D, and ||y_arg||_1
+    norm_x: int
+    norm_y: int
+    #: the term dicts of p, q and y_arg
+    p: dict
+    q: dict
+    y: dict
+    #: whether the terms are QuadExtElem values
+    quad: bool
+
+
+def _shape(kind: SeqKind, x_arg, y_arg) -> _Shape | None:
+    """The shape of a pair whose list fills on packed ints, or None for the ring step.
+
+    The list fills packed when y_arg is a :class:`BivarPoly`, x_arg is one or
+    a :class:`QuadExtElem` p + q*D, every part has int coefficients and one
+    weight i + 2j (D weighs 1, so q weighs one less than p), and y_arg weighs
+    twice x_arg.  Every term is then weighted-homogeneous, so x -> 1,
+    y -> 2^s packs each part of it into one int without loss.
+    """
+    if type(y_arg) is not BivarPoly or type(x_arg) not in (BivarPoly, QuadExtElem):
+        return None
+    quad = type(x_arg) is QuadExtElem
+    p, q = (x_arg.a, x_arg.b) if quad else (x_arg, ZERO)
+    parts = p.terms, q.terms, y_arg.terms
+    weights = []
+    for terms in parts:
+        found = {i + 2 * j for i, j in terms}
+        if len(found) > 1 or any(type(c) is not int for c in terms.values()):
+            return None
+        weights.append(found.pop() if found else None)
+    w, q_weight, y_weight = weights
+    if q_weight is not None:
+        w = q_weight + 1 if w in (None, q_weight + 1) else None
+    if w is None or y_weight != 2 * w:
+        return None
+    norm_p, norm_q, norm_y = (sum(map(abs, terms.values())) for terms in parts)
+    return _Shape(w, -w if kind is SeqKind.FIB else 0, norm_p + 5 * norm_q, norm_y, *parts, quad)
+
+
+def _parts(term) -> tuple[dict, dict]:
+    """The term dicts of the base part and the D part of a list term."""
+    if type(term) is QuadExtElem:
+        return term.a.terms, term.b.terms
+    return term.terms, {}
+
+
+def _factor(terms: dict, s: int) -> tuple[int, int]:
+    """(c, shift) such that a packed value times the packed polynomial is ``(v * c) << shift``.
+
+    A monomial c * y^j is a small product and a shift, never a product of
+    two long ints.
+    """
+    if len(terms) == 1:
+        (((_, j), c),) = terms.items()
+        return c, s * j
+    return _pack(terms, s), 0
+
+
+class _Packed(NamedTuple):
+    """The last two list terms u_{m-1} = a0 + b0*D and u_m = a1 + b1*D, packed at width s."""
+
+    #: the slot width, and the highest index whose coefficients it holds
+    s: int
+    cover: int
+    #: x_arg = p + q*D and y_arg as :func:`_factor` gives them at width s
+    p: tuple[int, int]
+    q: tuple[int, int]
+    y: tuple[int, int]
+    a0: int
+    b0: int
+    a1: int
+    b1: int
+    #: estimated bytes of the four ints: ``_MONOMIAL_BYTES`` each, plus their bits / 8
+    size: int
+
+
+def _pack_pair(shape: _Shape, u_prev, u_cur, m: int) -> _Packed:
+    """u_{m-1} and u_m packed at a width that holds every coefficient up to u_{2m+16}.
+
+    With x_arg = p + q*D, u_{k+1} = x_arg*u_k + y_arg*u_{k-1} and
+    D^2 = x^2 + 4y, the largest coefficient M_k of u_k obeys
+    M_{k+1} <= (||p||_1 + 5 ||q||_1) * M_k + ||y_arg||_1 * M_{k-1}.  That
+    bound is run on from the real largest coefficients of the two terms.
+    """
+    tops = [
+        max(map(abs, [*a.values(), *b.values()]), default=0)
+        for a, b in map(_parts, (u_prev, u_cur))
+    ]
+    cover = 2 * m + 16
+    low, high = tops
+    for _ in range(cover - m):
+        low, high = high, shape.norm_x * high + shape.norm_y * low
+    s = max(*tops, high).bit_length() + 1
+    (a0, b0), (a1, b1) = ((_pack(part, s) for part in _parts(u)) for u in (u_prev, u_cur))
+    factors = _factor(shape.p, s), _factor(shape.q, s), _factor(shape.y, s)
+    return _Packed(s, cover, *factors, a0, b0, a1, b1, _packed_size(a0, b0, a1, b1))
+
+
+def _poly(terms: dict) -> BivarPoly:
+    """The polynomial of a term dict of nonzero ints that nothing else holds, taken as is."""
+    value = BivarPoly.__new__(BivarPoly)
+    value._terms = terms
+    return value
+
+
+def _packed_next_term(shape: _Shape, packed: _Packed, m: int):
+    """u_m from the packed u_{m-2} and u_{m-1}, and the packed pair of u_{m-1} and u_m.
+
+    The step of :func:`_next_term` on ints: with x_arg = p + q*D and
+    DISC = x^2 + 4y, a_m = p*a_{m-1} + q*b_{m-1}*DISC + y*a_{m-2} and
+    b_m = p*b_{m-1} + q*a_{m-1} + y*b_{m-2}.  DISC packs to 1 + 4*2^s, a
+    shift and an add.  u_m is unpacked once, with the ring step's value and
+    int coefficients.
+    """
+    s, cover, p, q, y, a0, b0, a1, b1, _ = packed
+    (pc, ps), (qc, qs), (yc, ys) = p, q, y
+    qb = (b1 * qc) << qs
+    a2 = ((a1 * pc) << ps) + qb + (qb << (s + 2)) + ((a0 * yc) << ys)
+    b2 = ((b1 * pc) << ps) + ((a1 * qc) << qs) + ((b0 * yc) << ys)
+    weight = shape.weight_0 + m * shape.weight
+    term = _poly(_unpack(a2, s, weight))
+    if shape.quad:
+        term = QuadExtElem(term, _poly(_unpack(b2, s, weight - 1)))
+    return term, _Packed(s, cover, p, q, y, a1, b1, a2, b2, _packed_size(a1, b1, a2, b2))
+
+
+def _packed_size(*ints: int) -> int:
+    """Estimated bytes of packed ints: ``_MONOMIAL_BYTES`` each, plus their bits / 8."""
+    return _MONOMIAL_BYTES * len(ints) + sum(map(int.bit_length, ints)) // 8
 
 
 class _Terms:
@@ -118,33 +262,49 @@ class _Terms:
     the bound.  Past t, ``marks[j - 1]`` is the pair (u_{m-1}, u_m) at
     m = t + j * ``_MARK_STEP``, kept while ``marking``: while everything
     fits the bound (``size``, by :func:`_size`).  ``walk`` is
-    (m, u_{m-1}, u_m) for the last index stepped to past t.  :func:`seq`
+    (m, u_{m-1}, u_m) for the last index stepped to past t.  A pair with a
+    ``shape`` (see :func:`_shape`) fills its list on packed ints and keeps
+    u_{t-1} and u_t packed in ``packed`` between calls, counted in ``size``,
+    until the list stops; marks and walks take the ring step.  :func:`seq`
     steps an entry in place under its lock.  The list and the marks only
-    gain whole terms and the walk is set once per call, so a step that
-    raises leaves every field correct.
+    gain whole terms and the walk and packed pair are set once per term, so
+    a step that raises leaves every field correct.
     """
 
-    __slots__ = ("terms", "marks", "marking", "size", "walk")
+    __slots__ = ("terms", "marks", "marking", "size", "walk", "shape", "packed")
 
-    def __init__(self, kind: SeqKind, x_arg) -> None:
+    def __init__(self, kind: SeqKind, x_arg, y_arg=Y) -> None:
         self.terms = list(_seeds(kind, x_arg))
         self.marks: list = []
         self.marking = True
         self.size = sum(map(_size, self.terms))
         self.walk = None
+        self.shape = _shape(kind, x_arg, y_arg)
+        self.packed = None
 
     def term(self, n: int, x_arg, y_arg):
         """u_n: a list read at or below t, else a step on from the closest kept term pair below."""
         terms = self.terms
         if self.walk is None:
             while len(terms) <= n:
-                u_next = _next_term(x_arg, y_arg, terms[-2], terms[-1])
-                size = self.size + _size(u_next)
+                m = len(terms)
+                if self.shape is None:
+                    u_next, packed = _next_term(x_arg, y_arg, terms[-2], terms[-1]), None
+                else:
+                    packed = self.packed
+                    if packed is None or packed.cover < m:
+                        packed = _pack_pair(self.shape, terms[-2], terms[-1], m - 1)
+                    u_next, packed = _packed_next_term(self.shape, packed, m)
+                kept = self.size - (self.packed.size if self.packed else 0)
+                size = kept + _size(u_next) + (packed.size if packed else 0)
                 if 2 * size > _TERMS_BYTES:
-                    self.walk = (len(terms), terms[-1], u_next)
+                    self.walk = (m, terms[-1], u_next)
+                    self.size = kept
+                    self.packed = None
                     break
                 terms.append(u_next)
                 self.size = size
+                self.packed = packed
         if n < len(terms):
             return terms[n]
         top = len(terms) - 1
@@ -178,6 +338,7 @@ class _Terms:
         self.terms = terms[:2]
         self.marks = []
         self.marking = False
+        self.packed = None
         self.size = sum(map(_size, self.terms))
 
 
@@ -210,9 +371,11 @@ def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
     list u_0 .. u_t of the terms it has computed while it fits half of
     ``_TERMS_BYTES``, marks past t while they fit the rest, and its latest
     walk.  A request at or below t reads the list; one above steps on from
-    the walk, or from the mark or u_t below it, not from the seeds.
-    ``seq(FIB, 2000)`` keeps F_0 .. F_298, 42 marks up to F_634 and
-    F_1999, F_2000 alive for the life of the process.
+    the walk, or from the mark or u_t below it, not from the seeds.  The
+    list of a pair whose terms are weighted-homogeneous int polynomials
+    fills on packed ints (see :func:`_shape`), with the ring step's values
+    and coefficient types.  ``seq(FIB, 2000)`` keeps F_0 .. F_298, 42 marks
+    up to F_634 and F_1999, F_2000 alive for the life of the process.
 
     The generator pair itself (``x_arg is X and y_arg is Y``) has one
     pinned entry per kind.  Any other pair is keyed by the kind and the
@@ -234,7 +397,7 @@ def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
         key = (kind, _types(x_arg), x_arg, _types(y_arg), y_arg)
         entry = _pairs.pop(key, None)
         if entry is None:
-            entry = _Terms(kind, x_arg)
+            entry = _Terms(kind, x_arg, y_arg)
         else:
             _pairs_size -= entry.size
         _pairs[key] = entry

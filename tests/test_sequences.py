@@ -98,38 +98,73 @@ def small_bounds(patch, terms_bytes, pairs_bytes=1 << 30, mark_step=8):
 
 
 def stored_size(entry):
-    """The size of every term an entry keeps in its list and marks, by the store's measure."""
+    """The store's measure of what an entry keeps: its list, its marks and its packed pair."""
     kept = [*entry.terms, *(term for mark in entry.marks for term in mark)]
-    return sum(map(sequences._size, kept))
+    size = sum(map(sequences._size, kept))
+    if entry.packed is not None:
+        ints = entry.packed.a0, entry.packed.b0, entry.packed.a1, entry.packed.b1
+        size += 4 * sequences._MONOMIAL_BYTES + sum(map(int.bit_length, ints)) // 8
+    return size
+
+
+def failing_once(real, at):
+    """``real``, except that its ``at``-th call raises, and the list of its calls."""
+    calls = []
+
+    def wrapper(*args):
+        calls.append(None)
+        if len(calls) == at:
+            raise RuntimeError("interrupted")
+        return real(*args)
+
+    return wrapper, calls
 
 
 def test_interrupted_cache_fill_recovers(monkeypatch):
-    # an exception inside the fill must not break the list for later calls
+    # an exception inside the packed fill must not break the list for later calls
     n = len(fresh_generator_lists(monkeypatch)[SeqKind.FIB].terms) + 5
-    real_mul = BivarPoly.__mul__
-    calls = []
-
-    def mul_failing_once(self, other):
-        calls.append(None)
-        if len(calls) == 3:  # inside the second term this fill computes
-            raise RuntimeError("interrupted")
-        return real_mul(self, other)
-
-    monkeypatch.setattr(BivarPoly, "__mul__", mul_failing_once)
+    # inside the second term this fill computes
+    step, calls = failing_once(sequences._packed_next_term, 2)
+    monkeypatch.setattr(sequences, "_packed_next_term", step)
     with pytest.raises(RuntimeError, match="interrupted"):
         fib_poly(n)
     assert fib_poly(n).terms == poly_fib(n)
+    assert len(calls) == 2 + 5  # the failed term is computed again, then the four after it
+
+
+def test_interrupted_ring_fill_recovers(monkeypatch):
+    # the same for a pair whose list fills by ring products: x + 1 is not homogeneous
+    monkeypatch.setattr(sequences, "_pairs", {})
+    monkeypatch.setattr(sequences, "_pairs_size", 0)
+    x_arg, n = X + 1, 7
+    expected = list(islice(seq_terms(SeqKind.FIB, x_arg, Y), n + 1))
+    # inside the second term this fill computes
+    mul, calls = failing_once(BivarPoly.__mul__, 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(BivarPoly, "__mul__", mul)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            seq(SeqKind.FIB, n, x_arg, Y)
+    assert [seq(SeqKind.FIB, m, x_arg, Y) for m in range(n + 1)] == expected
+    (entry,) = sequences._pairs.values()
+    assert entry.shape is None and entry.packed is None
+
+
+def counting(patch, *names):
+    """Count the calls of the named functions of ``sequences`` into one list."""
+    steps = []
+    for name in names:
+        real = getattr(sequences, name)
+
+        def counted(*args, real=real):
+            steps.append(None)
+            return real(*args)
+
+        patch.setattr(sequences, name, counted)
+    return steps
 
 
 def test_the_generator_pair_has_one_table(monkeypatch):
-    steps = []
-    real_next_term = sequences._next_term
-
-    def counting_next_term(*args):
-        steps.append(None)
-        return real_next_term(*args)
-
-    monkeypatch.setattr(sequences, "_next_term", counting_next_term)
+    steps = counting(monkeypatch, "_next_term", "_packed_next_term")
     top = len(fresh_generator_lists(monkeypatch)[SeqKind.FIB].terms) + 19
     for n in range(top + 1):
         value = fib_poly(n)
@@ -249,6 +284,64 @@ def test_requests_across_the_size_bounds_give_the_generator_terms(
         )
 
 
+# -- lists filled on packed ints ------------------------------------------------
+
+#: pairs whose lists fill on packed ints: negative and large coefficients,
+#: x = p + q*D with both parts nonzero, weight-0 constants, composed arguments
+_PACKED_PAIRS = [
+    (1000 * X, -999999 * Y),
+    (X + DELTA, Y),
+    (-3 * X + 7 * DELTA, -5 * Y),
+    (QuadExtElem(1000 * X * X, -999 * X), 12345 * Y * Y),
+    (ONE, ONE),
+    (3 * ONE, -7 * ONE),
+    (luc_poly(3), -(Y**3)),
+    (DELTA * fib_poly(3), -(Y**3)),
+]
+#: pairs that keep the ring step: a Fraction coefficient, x not homogeneous,
+#: weight(y) != 2 * weight(x), y a QuadExtElem, and ints
+_RING_PAIRS = [
+    (BivarPoly({(1, 0): Fraction(1, 3)}), Y),
+    (X + 1, Y),
+    (X, Y * Y),
+    (X, DELTA),
+    (2, -3),
+]
+_FILL_PAIRS = _PACKED_PAIRS + _RING_PAIRS
+_FILL_TERMS = {
+    (kind, i): list(islice(seq_terms(kind, *pair), 41))
+    for kind in SeqKind
+    for i, pair in enumerate(_FILL_PAIRS)
+}
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(SeqKind), st.integers(0, 40), st.integers(0, len(_FILL_PAIRS) - 1)
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.integers(1_000, 60_000),
+)
+def test_packed_fills_give_the_ring_terms(requests, terms_bytes):
+    # bounds this small stop most lists partway, so marks and walks take over
+    # from the packed fill, and their terms must match it
+    with pytest.MonkeyPatch.context() as patch:
+        small_bounds(patch, terms_bytes)
+        for kind, n, i in requests:
+            value = seq(kind, n, *_FILL_PAIRS[i])
+            expected = _FILL_TERMS[kind, i][n]
+            assert value == expected
+            assert _types(value) == _types(expected)
+        for (_, _, x_arg, _, y_arg), entry in sequences._pairs.items():
+            packed = any(x_arg is x and y_arg is y for x, y in _PACKED_PAIRS)
+            assert (entry.shape is not None) is packed
+            assert entry.packed is None or (packed and entry.walk is None)
+            assert entry.size == stored_size(entry)
+
+
 def test_equal_arguments_of_different_types_walk_apart():
     assert type(seq(SeqKind.FIB, 5, 1, 1)) is int
     assert type(seq(SeqKind.FIB, 5, ONE, ONE)) is BivarPoly
@@ -316,14 +409,7 @@ def test_the_full_generator_list_steps_on_from_its_top(monkeypatch):
     top = len(entry.terms) - 1
     assert top > 200  # past every index the default catalog grid reads
     assert seq(SeqKind.FIB, top + 20).terms == poly_fib(top + 20)
-    steps = []
-    real_next_term = sequences._next_term
-
-    def counting_next_term(*args):
-        steps.append(None)
-        return real_next_term(*args)
-
-    monkeypatch.setattr(sequences, "_next_term", counting_next_term)
+    steps = counting(monkeypatch, "_next_term", "_packed_next_term")
     assert seq(SeqKind.FIB, top + 1).terms == poly_fib(top + 1)
     assert len(steps) == 1  # from F_top, not top + 1 steps from the seeds
 
