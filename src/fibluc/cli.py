@@ -76,11 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str) -> int | Fraction:
+    """The rational text names, as an int where it is whole: integral points compute on ints."""
     try:
-        return Fraction(text.strip())
+        value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r} ({exc})") from None
+    return value.numerator if value.denominator == 1 else value
 
 
 def _parse_ranges(args: list[str]) -> dict[str, tuple[int, int]]:

@@ -13,17 +13,24 @@ and argument pair it keeps the terms it has computed, up to a size bound: the
 list u_0 .. u_t while it fits half the bound, then every eighth pair of
 consecutive terms while they fit the rest, and the last two terms of its
 latest walk.  A request at or below t reads the list; a higher one steps on
-from the closest kept terms below it, not from the seeds.  Where every term
-is a weighted-homogeneous int polynomial (both arguments polynomials, or x
-an extension element, with int coefficients, and y weighing twice x), the
-list fills on Kronecker-packed ints: each part of the last two terms is one
-int at x -> 1, y -> 2^s, and a step is a few int products, shifts and adds,
-with each new term unpacked once.  Marks, walks and every other pair take
-the ring step.  The generator pair (x, y) has a pinned entry per kind; the
-64 other pairs used most recently keep theirs, within a total size budget.
-One lock guards the whole store and a call steps its entry in place while
-holding it, so everything here is safe to invoke concurrently, and one long
-walk holds up the other threads' calls.
+from the closest kept terms below it, not from the seeds.  The generator
+pair (x, y) has a pinned entry per kind; the 64 other pairs used most
+recently keep theirs, and past a total size budget the least recently used
+give up their lists and marks.  One lock guards the whole store and a call
+steps its entry in place while holding it, so everything here is safe to
+invoke concurrently, and one long walk holds up the other threads' calls.
+
+Where every term is a weighted-homogeneous int polynomial, the list fills
+on Kronecker-packed ints (see :func:`_shape` for which pairs).  With
+x = p + q*D, the entry keeps the last two terms a + b*D as two ints each at
+x -> 1, y -> 2^s, and a step is a_m = p*a_{m-1} + q*D^2*b_{m-1} + y*a_{m-2}
+and b_m = p*b_{m-1} + q*a_{m-1} + y*b_{m-2}: a few int products, shifts and
+adds, with q*D^2 the ring's product, taken once per pair, and each new term
+unpacked once.  The slot width s holds every coefficient up to about twice
+the list's length (see :func:`_pack_pair`); past that the entry packs again
+from the last two list terms.  The packed pair counts toward the size bound
+and goes when the list stops.  Marks, walks and every other pair take the
+ring step.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, NamedTuple
 
-from .poly import ONE, BivarPoly, QuadExtElem, X, Y, ZERO, _pack, _unpack, binary_power
+from .poly import DISCRIMINANT, ONE, BivarPoly, QuadExtElem, X, Y, ZERO, binary_power
+from .poly import _pack, _unpack
 
 
 class SeqKind(Enum):
@@ -104,8 +112,13 @@ _WALKS_MAX = 64
 
 
 def _size(value) -> int:
-    """Estimated bytes of one term: ``_MONOMIAL_BYTES`` per monomial, plus bits / 8."""
+    """Estimated bytes of a term or a packed int.
+
+    ``_MONOMIAL_BYTES`` per monomial or plain number, plus bits / 8.
+    """
     kind = type(value)
+    if kind is int:  # packed ints, and every term at an integral point
+        return _MONOMIAL_BYTES + value.bit_length() // 8
     if kind is QuadExtElem:
         return _size(value.a) + _size(value.b)
     numbers = value._terms.values() if kind is BivarPoly else (value,)
@@ -123,13 +136,8 @@ class _Shape(NamedTuple):
     weight: int
     #: the weight of u_0's base part (F_1 = 1 and L_0 = 2 weigh 0)
     weight_0: int
-    #: ||p||_1 + 5 ||q||_1 for x_arg = p + q*D, and ||y_arg||_1
-    norm_x: int
-    norm_y: int
-    #: the term dicts of p, q and y_arg
-    p: dict
-    q: dict
-    y: dict
+    #: the term dicts of p, q, q*D^2 and y_arg for x_arg = p + q*D
+    factors: tuple[dict, dict, dict, dict]
     #: whether the terms are QuadExtElem values
     quad: bool
 
@@ -138,48 +146,43 @@ def _shape(kind: SeqKind, x_arg, y_arg) -> _Shape | None:
     """The shape of a pair whose list fills on packed ints, or None for the ring step.
 
     The list fills packed when y_arg is a :class:`BivarPoly`, x_arg is one or
-    a :class:`QuadExtElem` p + q*D, every part has int coefficients and one
-    weight i + 2j (D weighs 1, so q weighs one less than p), and y_arg weighs
-    twice x_arg.  Every term is then weighted-homogeneous, so x -> 1,
+    a :class:`QuadExtElem` p + q*D, every part has int coefficients, x_arg
+    has one weight w, and every term of y_arg weighs 2w.  D weighs 1, so
+    x_arg weighs w when the terms x^i y^j of p weigh i + 2j = w and those of
+    q weigh w - 1.  Every term is then weighted-homogeneous, so x -> 1,
     y -> 2^s packs each part of it into one int without loss.
     """
     if type(y_arg) is not BivarPoly or type(x_arg) not in (BivarPoly, QuadExtElem):
         return None
     quad = type(x_arg) is QuadExtElem
     p, q = (x_arg.a, x_arg.b) if quad else (x_arg, ZERO)
-    parts = p.terms, q.terms, y_arg.terms
-    weights = []
-    for terms in parts:
-        found = {i + 2 * j for i, j in terms}
-        if len(found) > 1 or any(type(c) is not int for c in terms.values()):
-            return None
-        weights.append(found.pop() if found else None)
-    w, q_weight, y_weight = weights
-    if q_weight is not None:
-        w = q_weight + 1 if w in (None, q_weight + 1) else None
-    if w is None or y_weight != 2 * w:
+    weights = {i + 2 * j + d for d, part in enumerate((p, q)) for i, j in part._terms}
+    y_weights = {i + 2 * j for i, j in y_arg._terms}
+    if len(weights) != 1 or y_weights != {2 * w for w in weights}:
         return None
-    norm_p, norm_q, norm_y = (sum(map(abs, terms.values())) for terms in parts)
-    return _Shape(w, -w if kind is SeqKind.FIB else 0, norm_p + 5 * norm_q, norm_y, *parts, quad)
+    factors = p._terms, q._terms, (q * DISCRIMINANT)._terms, y_arg._terms
+    if any(type(c) is not int for terms in factors for c in terms.values()):
+        return None
+    (w,) = weights
+    return _Shape(w, -w if kind is SeqKind.FIB else 0, factors, quad)
 
 
 def _parts(term) -> tuple[dict, dict]:
     """The term dicts of the base part and the D part of a list term."""
     if type(term) is QuadExtElem:
-        return term.a.terms, term.b.terms
-    return term.terms, {}
+        return term.a._terms, term.b._terms
+    return term._terms, {}
 
 
 def _factor(terms: dict, s: int) -> tuple[int, int]:
     """(c, shift) such that a packed value times the packed polynomial is ``(v * c) << shift``.
 
-    A monomial c * y^j is a small product and a shift, never a product of
-    two long ints.
+    The polynomial packs over its lowest power of y, which the shift puts
+    back, so a monomial c * y^j is a small product and a shift, never a
+    product of two long ints.
     """
-    if len(terms) == 1:
-        (((_, j), c),) = terms.items()
-        return c, s * j
-    return _pack(terms, s), 0
+    low = min((j for _, j in terms), default=0)
+    return _pack(terms, s, low), s * low
 
 
 class _Packed(NamedTuple):
@@ -188,26 +191,29 @@ class _Packed(NamedTuple):
     #: the slot width, and the highest index whose coefficients it holds
     s: int
     cover: int
-    #: x_arg = p + q*D and y_arg as :func:`_factor` gives them at width s
-    p: tuple[int, int]
-    q: tuple[int, int]
-    y: tuple[int, int]
+    #: p, q, q*D^2 and y_arg as :func:`_factor` gives them at width s
+    factors: tuple
     a0: int
     b0: int
     a1: int
     b1: int
-    #: estimated bytes of the four ints: ``_MONOMIAL_BYTES`` each, plus their bits / 8
+    #: estimated bytes of the four ints, by :func:`_size`
     size: int
 
 
 def _pack_pair(shape: _Shape, u_prev, u_cur, m: int) -> _Packed:
     """u_{m-1} and u_m packed at a width that holds every coefficient up to u_{2m+16}.
 
-    With x_arg = p + q*D, u_{k+1} = x_arg*u_k + y_arg*u_{k-1} and
-    D^2 = x^2 + 4y, the largest coefficient M_k of u_k obeys
-    M_{k+1} <= (||p||_1 + 5 ||q||_1) * M_k + ||y_arg||_1 * M_{k-1}.  That
+    With x_arg = p + q*D, u_{k+1} = x_arg*u_k + y_arg*u_{k-1} steps the base
+    part by p, q*D^2 and y_arg and the D part by p, q and y_arg, and
+    ||q||_1 <= ||q*D^2||_1 / 3 for every homogeneous q.  So the largest
+    coefficient M_k of u_k obeys
+    M_{k+1} <= (||p||_1 + ||q*D^2||_1) * M_k + ||y_arg||_1 * M_{k-1}.  That
     bound is run on from the real largest coefficients of the two terms.
     """
+    p, _, q_disc, y = shape.factors
+    norm_x = sum(map(abs, [*p.values(), *q_disc.values()]))
+    norm_y = sum(map(abs, y.values()))
     tops = [
         max(map(abs, [*a.values(), *b.values()]), default=0)
         for a, b in map(_parts, (u_prev, u_cur))
@@ -215,11 +221,11 @@ def _pack_pair(shape: _Shape, u_prev, u_cur, m: int) -> _Packed:
     cover = 2 * m + 16
     low, high = tops
     for _ in range(cover - m):
-        low, high = high, shape.norm_x * high + shape.norm_y * low
+        low, high = high, norm_x * high + norm_y * low
     s = max(*tops, high).bit_length() + 1
-    (a0, b0), (a1, b1) = ((_pack(part, s) for part in _parts(u)) for u in (u_prev, u_cur))
-    factors = _factor(shape.p, s), _factor(shape.q, s), _factor(shape.y, s)
-    return _Packed(s, cover, *factors, a0, b0, a1, b1, _packed_size(a0, b0, a1, b1))
+    ints = [_pack(part, s) for u in (u_prev, u_cur) for part in _parts(u)]
+    factors = tuple(_factor(terms, s) for terms in shape.factors)
+    return _Packed(s, cover, factors, *ints, sum(map(_size, ints)))
 
 
 def _poly(terms: dict) -> BivarPoly:
@@ -232,27 +238,20 @@ def _poly(terms: dict) -> BivarPoly:
 def _packed_next_term(shape: _Shape, packed: _Packed, m: int):
     """u_m from the packed u_{m-2} and u_{m-1}, and the packed pair of u_{m-1} and u_m.
 
-    The step of :func:`_next_term` on ints: with x_arg = p + q*D and
-    DISC = x^2 + 4y, a_m = p*a_{m-1} + q*b_{m-1}*DISC + y*a_{m-2} and
-    b_m = p*b_{m-1} + q*a_{m-1} + y*b_{m-2}.  DISC packs to 1 + 4*2^s, a
-    shift and an add.  u_m is unpacked once, with the ring step's value and
-    int coefficients.
+    The step of :func:`_next_term` on ints, as the module docstring states
+    it.  u_m is unpacked once, with the ring step's value and int
+    coefficients.
     """
-    s, cover, p, q, y, a0, b0, a1, b1, _ = packed
-    (pc, ps), (qc, qs), (yc, ys) = p, q, y
-    qb = (b1 * qc) << qs
-    a2 = ((a1 * pc) << ps) + qb + (qb << (s + 2)) + ((a0 * yc) << ys)
+    s, cover, factors, a0, b0, a1, b1, _ = packed
+    (pc, ps), (qc, qs), (dc, ds), (yc, ys) = factors
+    a2 = ((a1 * pc) << ps) + ((b1 * dc) << ds) + ((a0 * yc) << ys)
     b2 = ((b1 * pc) << ps) + ((a1 * qc) << qs) + ((b0 * yc) << ys)
     weight = shape.weight_0 + m * shape.weight
     term = _poly(_unpack(a2, s, weight))
     if shape.quad:
         term = QuadExtElem(term, _poly(_unpack(b2, s, weight - 1)))
-    return term, _Packed(s, cover, p, q, y, a1, b1, a2, b2, _packed_size(a1, b1, a2, b2))
-
-
-def _packed_size(*ints: int) -> int:
-    """Estimated bytes of packed ints: ``_MONOMIAL_BYTES`` each, plus their bits / 8."""
-    return _MONOMIAL_BYTES * len(ints) + sum(map(int.bit_length, ints)) // 8
+    ints = a1, b1, a2, b2
+    return term, _Packed(s, cover, factors, *ints, sum(map(_size, ints)))
 
 
 class _Terms:
@@ -352,7 +351,7 @@ def _types(value):
     if kind is QuadExtElem:
         return kind, _types(value.a), _types(value.b)
     if kind is BivarPoly:
-        return kind, frozenset(map(type, value.terms.values()))
+        return kind, frozenset(map(type, value._terms.values()))
     return kind
 
 
@@ -367,26 +366,20 @@ _pairs_size = 0
 def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
     """n-th term of :func:`seq_terms`: every F and L value comes from here.
 
-    Each kind keeps, for each argument pair, a :class:`_Terms` entry: the
-    list u_0 .. u_t of the terms it has computed while it fits half of
-    ``_TERMS_BYTES``, marks past t while they fit the rest, and its latest
-    walk.  A request at or below t reads the list; one above steps on from
-    the walk, or from the mark or u_t below it, not from the seeds.  The
-    list of a pair whose terms are weighted-homogeneous int polynomials
-    fills on packed ints (see :func:`_shape`), with the ring step's values
-    and coefficient types.  ``seq(FIB, 2000)`` keeps F_0 .. F_298, 42 marks
+    Each kind keeps a :class:`_Terms` entry for each argument pair, as the
+    module docstring describes; the values and coefficient types are those
+    of :func:`seq_terms`.  ``seq(FIB, 2000)`` keeps F_0 .. F_298, 42 marks
     up to F_634 and F_1999, F_2000 alive for the life of the process.
 
     The generator pair itself (``x_arg is X and y_arg is Y``) has one
     pinned entry per kind.  Any other pair is keyed by the kind and the
     argument pair with their types and coefficient types, so only
     arguments that compute alike share one, and the arguments must be
-    hashable.  The 64 other pairs used most recently keep their entries,
-    and the least recently used of them give up their lists and marks past
-    ``_PAIRS_BYTES`` in all; such a pair steps from the seeds again below
-    its walk.  One lock guards the whole store and each call steps its
-    entry in place while holding it, so two callers of one pair walk it
-    once, and one long walk holds up every other thread's call.
+    hashable.  Past ``_WALKS_MAX`` pairs the least recently used entry
+    goes, and past ``_PAIRS_BYTES`` in all the least recently used give up
+    their lists and marks; such a pair steps from the seeds again below its
+    walk.  Each call steps its entry in place under the store's one lock,
+    so two callers of one pair walk it once.
     """
     global _pairs_size
     if n < 0:

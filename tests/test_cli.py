@@ -7,6 +7,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
+from fractions import Fraction
 from itertools import islice
 
 import hypothesis.strategies as st
@@ -45,6 +46,19 @@ def test_eval_at_point(capsys):
     code, out, _ = run_cli(capsys, "eval", "F", "10", "--at", "1,1")
     assert code == 0
     assert out.strip() == "55"
+
+
+def test_an_integral_point_computes_on_ints(capsys, monkeypatch):
+    received = []
+
+    def recording(kind, n, x_arg, y_arg):
+        received.append((type(x_arg), type(y_arg)))
+        return seq(kind, n, x_arg, y_arg)
+
+    monkeypatch.setattr(cli, "seq", recording)
+    code, out, _ = run_cli(capsys, "eval", "F", "40", "--at", "1,1")
+    assert code == 0 and received == [(int, int)]
+    assert out == f"{seq(SeqKind.FIB, 40, Fraction(1), Fraction(1))}\n"
 
 
 def test_eval_past_the_generator_table_keeps_two_terms(capsys, monkeypatch):

@@ -100,11 +100,9 @@ def small_bounds(patch, terms_bytes, pairs_bytes=1 << 30, mark_step=8):
 def stored_size(entry):
     """The store's measure of what an entry keeps: its list, its marks and its packed pair."""
     kept = [*entry.terms, *(term for mark in entry.marks for term in mark)]
-    size = sum(map(sequences._size, kept))
     if entry.packed is not None:
-        ints = entry.packed.a0, entry.packed.b0, entry.packed.a1, entry.packed.b1
-        size += 4 * sequences._MONOMIAL_BYTES + sum(map(int.bit_length, ints)) // 8
-    return size
+        kept += entry.packed.a0, entry.packed.b0, entry.packed.a1, entry.packed.b1
+    return sum(map(sequences._size, kept))
 
 
 def failing_once(real, at):
@@ -297,6 +295,8 @@ _PACKED_PAIRS = [
     (3 * ONE, -7 * ONE),
     (luc_poly(3), -(Y**3)),
     (DELTA * fib_poly(3), -(Y**3)),
+    # q*D^2 = x^4 - 16y^2 has norm 17, below 5*||q||_1 = 25: a narrower width
+    (QuadExtElem(ZERO, X * X - 4 * Y), 5 * Y**3),
 ]
 #: pairs that keep the ring step: a Fraction coefficient, x not homogeneous,
 #: weight(y) != 2 * weight(x), y a QuadExtElem, and ints
