@@ -10,18 +10,18 @@ values, and plain integer or rational specializations.
 
 :func:`seq` returns every F and L value the package uses.  For each kind
 and argument pair it keeps the terms it has computed, up to a size bound: the
-list u_0 .. u_t while it fits half the bound, then every eighth pair of
-consecutive terms while they fit the rest, and the last two terms of its
+list u_0 .. u_t while it fits half the bound, and the last two terms of its
 latest walk.  A request at or below t reads the list; a higher one steps on
-from the closest kept terms below it, not from the seeds.  The generator
-pair (x, y) has a pinned entry per kind; the 64 other pairs used most
+from the walk or from u_t, not from the seeds.  The generator pair (x, y) has
+a pinned entry per kind that builds every term from its binomial
+coefficients (:func:`_build`) and never walks; the 64 other pairs used most
 recently keep theirs, and past a total size budget the least recently used
-give up their lists and marks.  One lock guards the whole store and a call
-steps its entry in place while holding it, so everything here is safe to
-invoke concurrently, and one long walk holds up the other threads' calls.
+give up their lists.  One lock guards the whole store and a call steps its
+entry in place while holding it, so everything here is safe to invoke
+concurrently, and one long walk holds up the other threads' calls.
 
-Where every term is a weighted-homogeneous int polynomial, the list fills
-on Kronecker-packed ints (see :func:`_shape` for which pairs).  With
+Where every term is a weighted-homogeneous int polynomial, the list of any
+other pair fills on Kronecker-packed ints (see :func:`_shape` for which).  With
 x = p + q*D, the entry keeps the last two terms a + b*D as two ints each at
 x -> 1, y -> 2^s, and a step is a_m = p*a_{m-1} + q*D^2*b_{m-1} + y*a_{m-2}
 and b_m = p*b_{m-1} + q*a_{m-1} + y*b_{m-2}: a few int products, shifts and
@@ -29,8 +29,7 @@ adds, with q*D^2 the ring's product, taken once per pair, and each new term
 unpacked once.  The slot width s holds every coefficient up to about twice
 the list's length (see :func:`_pack_pair`); past that the entry packs again
 from the last two list terms.  The packed pair counts toward the size bound
-and goes when the list stops.  Marks, walks and every other pair take the
-ring step.
+and goes when the list stops.  Walks and every other pair take the ring step.
 """
 
 from __future__ import annotations
@@ -84,24 +83,18 @@ def seq_terms(kind: SeqKind, x_arg=X, y_arg=Y) -> Iterator:
 #: on lists of F_n(x, y) and F_n(2x, y).  The coefficient's bits count on top,
 #: at bits / 8, so a list of huge numbers is measured by its digits.
 _MONOMIAL_BYTES = 128
-#: Estimated bytes each kind keeps for one argument pair: its list fills half,
-#: its marks the rest.  The list of F(x, y) then reaches F_298 (F_0 .. F_640
-#: is 16.8 MB) and its marks F_634, that of F(1, 1) F_7170, and every list of
-#: the ``composed`` grid stays whole.  Past it a pair walks, so ``eval F 2000``
-#: and ``eval F 100000 --at 1,1`` hold about 6 MB more than their walks: max
-#: RSS 18.8 -> 24.7 and 17.0 -> 22.3 MB over two terms alone, where twice this
-#: bound, 32.1 and 29.0 MB, is past 1.5 times the two-term figure.
+#: Estimated bytes each kind keeps for one argument pair: its list fills half
+#: of it.  The list of F(x, y) then reaches F_298 (F_0 .. F_640 is 16.8 MB),
+#: that of F(1, 1) F_7170, and every list of the ``composed`` grid stays whole.
+#: Past it (x, y) builds each term it is asked for and any other pair walks:
+#: ``eval F 2000`` and ``eval F 100000 --at 1,1`` take max RSS 20.3 and
+#: 18.7 MB, against 17.6 and 16.7 MB with no list at all.
 _TERMS_BYTES = 6 << 20
-#: Index spacing of the marks kept past a full list: a request past the list
-#: steps at most this far while marks are kept.  ``catalog --n-max 24
-#: --k-max 12`` takes 7377 recurrence steps with 8 and 11025 with 16, against
-#: 7951 with a table of every term to 640 and 42867 with no marks.
-_MARK_STEP = 8
 #: Estimated bytes of the entries of all pairs other than (x, y) together.
-#: Past it the least recently used give up their lists and marks but keep
-#: their walks: on the (16,30) grid of the composed-argument cases that takes
-#: 12264 recurrence steps, against 20923 when whole entries go and 30249 with
-#: two terms per pair.  At 16 MB the (24,12) and (40,10) grids step as without it.
+#: Past it the least recently used give up their lists but keep their walks:
+#: the (16,30) composed grid then takes 3972 recurrence steps and 49 MB max
+#: RSS, against 3600 and 77 MB without it, 15485 steps when whole entries go
+#: and 9195 with two terms per pair.  (24,12) and (40,10) step as without it.
 _PAIRS_BYTES = 16 << 20
 #: Argument pairs other than (x, y) whose entries :func:`seq` keeps; the least
 #: recently used goes first.  A catalog grid keeps about 1.5 pairs live per k
@@ -235,6 +228,24 @@ def _poly(terms: dict) -> BivarPoly:
     return value
 
 
+def _build(kind: SeqKind, m: int) -> BivarPoly:
+    """F_m(x, y), or L_m(x, y) for m >= 1, from its binomial coefficients.
+
+    F_m = sum_j C(m-1-j, j) x^(m-1-2j) y^j and L_m = sum_j (m/(m-j))
+    C(m-j, j) x^(m-2j) y^j.  With t = m - 1 for F and t = m for L, the
+    coefficient of x^(t-2j) y^j is the one before times (t-2j+2)(t-2j+1) /
+    (j(m-j)), an exact division: no ring product runs, and every coefficient
+    is an int, as in the ring step's terms.
+    """
+    top = m - 1 if kind is SeqKind.FIB else m
+    terms, c = {}, 1
+    for j in range(top // 2 + 1):
+        if j:
+            c = c * (top - 2 * j + 2) * (top - 2 * j + 1) // (j * (m - j))
+        terms[top - 2 * j, j] = c
+    return _poly(terms)
+
+
 def _packed_next_term(shape: _Shape, packed: _Packed, m: int):
     """u_m from the packed u_{m-2} and u_{m-1}, and the packed pair of u_{m-1} and u_m.
 
@@ -258,74 +269,64 @@ class _Terms:
     """The terms one kind keeps for one argument pair, within ``_TERMS_BYTES``.
 
     ``terms`` is u_0 .. u_t, every term computed while the list fits half
-    the bound.  Past t, ``marks[j - 1]`` is the pair (u_{m-1}, u_m) at
-    m = t + j * ``_MARK_STEP``, kept while ``marking``: while everything
-    fits the bound (``size``, by :func:`_size`).  ``walk`` is
-    (m, u_{m-1}, u_m) for the last index stepped to past t.  A pair with a
-    ``shape`` (see :func:`_shape`) fills its list on packed ints and keeps
-    u_{t-1} and u_t packed in ``packed`` between calls, counted in ``size``,
-    until the list stops; marks and walks take the ring step.  :func:`seq`
-    steps an entry in place under its lock.  The list and the marks only
-    gain whole terms and the walk and packed pair are set once per term, so
-    a step that raises leaves every field correct.
+    the bound (``size``, by :func:`_size`), and ``full`` once it stops.
+    ``walk`` is (m, u_{m-1}, u_m) for the last index stepped to past t; the
+    generator pair's entry has its kind in ``direct``, builds every term by
+    :func:`_build` and never walks.  A pair with a ``shape`` (see
+    :func:`_shape`) fills its list on packed ints and keeps u_{t-1} and u_t
+    packed in ``packed`` between calls, counted in ``size``, until the list
+    stops; walks take the ring step.  :func:`seq` steps an entry in place
+    under its lock.  The list only gains whole terms and the walk and packed
+    pair are set once per term, so a step that raises leaves every field
+    correct.
     """
 
-    __slots__ = ("terms", "marks", "marking", "size", "walk", "shape", "packed")
+    __slots__ = ("terms", "full", "size", "walk", "direct", "shape", "packed")
 
     def __init__(self, kind: SeqKind, x_arg, y_arg=Y) -> None:
         self.terms = list(_seeds(kind, x_arg))
-        self.marks: list = []
-        self.marking = True
+        self.full = False
         self.size = sum(map(_size, self.terms))
         self.walk = None
-        self.shape = _shape(kind, x_arg, y_arg)
+        self.direct = kind if x_arg is X and y_arg is Y else None
+        self.shape = None if self.direct else _shape(kind, x_arg, y_arg)
         self.packed = None
 
     def term(self, n: int, x_arg, y_arg):
-        """u_n: a list read at or below t, else a step on from the closest kept term pair below."""
+        """u_n: a list read at or below t, else a build or a step on from the walk or u_t."""
         terms = self.terms
-        if self.walk is None:
-            while len(terms) <= n:
-                m = len(terms)
-                if self.shape is None:
-                    u_next, packed = _next_term(x_arg, y_arg, terms[-2], terms[-1]), None
-                else:
-                    packed = self.packed
-                    if packed is None or packed.cover < m:
-                        packed = _pack_pair(self.shape, terms[-2], terms[-1], m - 1)
-                    u_next, packed = _packed_next_term(self.shape, packed, m)
-                kept = self.size - (self.packed.size if self.packed else 0)
-                size = kept + _size(u_next) + (packed.size if packed else 0)
-                if 2 * size > _TERMS_BYTES:
-                    self.walk = (m, terms[-1], u_next)
-                    self.size = kept
-                    self.packed = None
-                    break
-                terms.append(u_next)
-                self.size = size
-                self.packed = packed
+        while not self.full and len(terms) <= n:
+            m = len(terms)
+            if self.direct:
+                u_next, packed = _build(self.direct, m), None
+            elif self.shape is None:
+                u_next, packed = _next_term(x_arg, y_arg, terms[-2], terms[-1]), None
+            else:
+                packed = self.packed
+                if packed is None or packed.cover < m:
+                    packed = _pack_pair(self.shape, terms[-2], terms[-1], m - 1)
+                u_next, packed = _packed_next_term(self.shape, packed, m)
+            kept = self.size - (self.packed.size if self.packed else 0)
+            size = kept + _size(u_next) + (packed.size if packed else 0)
+            if 2 * size > _TERMS_BYTES:
+                self.full = True
+                self.size = kept
+                self.packed = None
+                self.walk = None if self.direct else (m, terms[-1], u_next)
+                break
+            terms.append(u_next)
+            self.size = size
+            self.packed = packed
         if n < len(terms):
             return terms[n]
-        top = len(terms) - 1
-        marks = self.marks
-        j = min(len(marks), (n - top) // _MARK_STEP)
-        m = top + j * _MARK_STEP
-        u_prev, u_cur = marks[j - 1] if j else terms[-2:]
+        if self.direct:
+            return _build(self.direct, n)
+        m, u_prev, u_cur = len(terms) - 1, terms[-2], terms[-1]
         if m < self.walk[0] <= n + 1:
             m, u_prev, u_cur = self.walk
-        next_mark = top + (len(marks) + 1) * _MARK_STEP if self.marking else -1
         while m < n:
             u_prev, u_cur = u_cur, _next_term(x_arg, y_arg, u_prev, u_cur)
             m += 1
-            if m == next_mark:
-                size = self.size + _size(u_prev) + _size(u_cur)
-                if size > _TERMS_BYTES:
-                    self.marking = False
-                    next_mark = -1
-                else:
-                    marks.append((u_prev, u_cur))
-                    self.size = size
-                    next_mark += _MARK_STEP
         self.walk = (m, u_prev, u_cur)
         return u_cur if m == n else u_prev
 
@@ -335,8 +336,7 @@ class _Terms:
         if self.walk is None:
             self.walk = (len(terms) - 1, terms[-2], terms[-1])
         self.terms = terms[:2]
-        self.marks = []
-        self.marking = False
+        self.full = True
         self.packed = None
         self.size = sum(map(_size, self.terms))
 
@@ -368,8 +368,8 @@ def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
 
     Each kind keeps a :class:`_Terms` entry for each argument pair, as the
     module docstring describes; the values and coefficient types are those
-    of :func:`seq_terms`.  ``seq(FIB, 2000)`` keeps F_0 .. F_298, 42 marks
-    up to F_634 and F_1999, F_2000 alive for the life of the process.
+    of :func:`seq_terms`.  ``seq(FIB, 2000)`` fills F_0 .. F_298, which stay
+    alive for the life of the process, and builds F_2000 without keeping it.
 
     The generator pair itself (``x_arg is X and y_arg is Y``) has one
     pinned entry per kind.  Any other pair is keyed by the kind and the
@@ -377,7 +377,7 @@ def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
     arguments that compute alike share one, and the arguments must be
     hashable.  Past ``_WALKS_MAX`` pairs the least recently used entry
     goes, and past ``_PAIRS_BYTES`` in all the least recently used give up
-    their lists and marks; such a pair steps from the seeds again below its
+    their lists; such a pair steps from the seeds again below its
     walk.  Each call steps its entry in place under the store's one lock,
     so two callers of one pair walk it once.
     """

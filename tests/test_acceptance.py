@@ -6,6 +6,7 @@ per-criterion PASS lines).
 
 import random
 import time
+from itertools import islice
 
 import pytest
 
@@ -35,6 +36,7 @@ from fibluc import (
     power_entry_factor,
     run_catalog,
     seq,
+    seq_terms,
 )
 from fibluc._seqcache import fib_poly
 from fibluc.cli import main
@@ -56,11 +58,12 @@ def test_c1_full_catalog_exact_over_acceptance_grid():
 
 
 def test_c2_generator_oracle_equivalence():
-    # symbolic arguments up to n = 64
-    for n in range(0, 65):
-        by_recurrence = seq(SeqKind.FIB, n)
+    # symbolic arguments up to n = 64; seq builds F_n(x, y) from its binomial
+    # coefficients, so the recurrence side is the generator itself
+    for n, by_recurrence in enumerate(islice(seq_terms(SeqKind.FIB), 65)):
         by_matrix = matrix_pow(matrix_A(), n).e12
         assert by_recurrence == by_matrix
+        assert seq(SeqKind.FIB, n) == by_matrix
         assert by_recurrence == fib_poly(n) * 1
         assert seq(SeqKind.FIB, 2 * n) == by_recurrence * seq(SeqKind.LUC, n)
     # numeric arguments (x, y) = (3, 2) up to n = 512
@@ -70,7 +73,11 @@ def test_c2_generator_oracle_equivalence():
         by_matrix = matrix_pow(numeric_a, n).e12
         assert by_recurrence == by_matrix
         assert seq(SeqKind.FIB, 2 * n, 3, 2) == by_recurrence * seq(SeqKind.LUC, n, 3, 2)
-    _announce("C2", "recurrence, matrix entry, and doubling agree (n<=64 symbolic, n<=512 numeric)")
+    _announce(
+        "C2",
+        "recurrence, binomial build, matrix entry, and doubling agree"
+        " (n<=64 symbolic, n<=512 numeric)",
+    )
 
 
 def test_c3_closed_form_equals_matrix_power_entry():

@@ -61,9 +61,9 @@ def test_an_integral_point_computes_on_ints(capsys, monkeypatch):
     assert out == f"{seq(SeqKind.FIB, 40, Fraction(1), Fraction(1))}\n"
 
 
-def test_eval_past_the_generator_table_keeps_two_terms(capsys, monkeypatch):
+def test_eval_past_the_generator_table_keeps_only_the_table(capsys, monkeypatch):
     # a list of every term to F_2000 took 260 MB; past the size bound eval
-    # keeps a few pairs of terms, then walks on with two
+    # builds the term it prints and keeps neither it nor a walk
     monkeypatch.setattr(sequences, "_TERMS_BYTES", 40_000)
     fresh = {kind: sequences._Terms(kind, sequences.X) for kind in SeqKind}
     monkeypatch.setattr(sequences, "_generator", fresh)
@@ -71,9 +71,8 @@ def test_eval_past_the_generator_table_keeps_two_terms(capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert out == f"{next(islice(seq_terms(SeqKind.FIB), 120, None))}\n"
     entry = fresh[SeqKind.FIB]
-    assert entry.walk[0] == 120 and not entry.marking
-    assert len(entry.terms) + len(entry.marks) * sequences._MARK_STEP < 100
-    assert entry.size <= 40_000
+    assert entry.full and len(entry.terms) < 100 and entry.walk is None
+    assert entry.size == sum(map(sequences._size, entry.terms)) <= 20_000
 
 
 def test_results_past_the_int_to_str_digit_limit_are_printed(capsys):

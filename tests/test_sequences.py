@@ -9,7 +9,7 @@ from itertools import islice
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from fibluc import (
     BivarPoly,
@@ -87,19 +87,18 @@ def fresh_generator_lists(patch):
     return sequences._generator
 
 
-def small_bounds(patch, terms_bytes, pairs_bytes=1 << 30, mark_step=8):
+def small_bounds(patch, terms_bytes, pairs_bytes=1 << 30):
     """Bound every term store small, and start each empty, for the rest of the test."""
     patch.setattr(sequences, "_TERMS_BYTES", terms_bytes)
     patch.setattr(sequences, "_PAIRS_BYTES", pairs_bytes)
-    patch.setattr(sequences, "_MARK_STEP", mark_step)
     patch.setattr(sequences, "_pairs", {})
     patch.setattr(sequences, "_pairs_size", 0)
     return fresh_generator_lists(patch)
 
 
 def stored_size(entry):
-    """The store's measure of what an entry keeps: its list, its marks and its packed pair."""
-    kept = [*entry.terms, *(term for mark in entry.marks for term in mark)]
+    """The store's measure of what an entry keeps: its list and its packed pair."""
+    kept = list(entry.terms)
     if entry.packed is not None:
         kept += entry.packed.a0, entry.packed.b0, entry.packed.a1, entry.packed.b1
     return sum(map(sequences._size, kept))
@@ -119,15 +118,42 @@ def failing_once(real, at):
 
 
 def test_interrupted_cache_fill_recovers(monkeypatch):
-    # an exception inside the packed fill must not break the list for later calls
-    n = len(fresh_generator_lists(monkeypatch)[SeqKind.FIB].terms) + 5
-    # inside the second term this fill computes
-    step, calls = failing_once(sequences._packed_next_term, 2)
-    monkeypatch.setattr(sequences, "_packed_next_term", step)
-    with pytest.raises(RuntimeError, match="interrupted"):
-        fib_poly(n)
-    assert fib_poly(n).terms == poly_fib(n)
+    # an exception inside a list fill must not break the list for later calls:
+    # the packed fill of (L_3, -y^3), then the generator pair's builds, in its
+    # list and past it
+    monkeypatch.setattr(sequences, "_pairs", {})
+    monkeypatch.setattr(sequences, "_pairs_size", 0)
+    x_arg, y_arg, n = luc_poly(3), -(Y**3), 7
+    expected = list(islice(seq_terms(SeqKind.LUC, x_arg, y_arg), n + 1))
+    # inside the second term each fill computes
+    with monkeypatch.context() as patch:
+        step, calls = failing_once(sequences._packed_next_term, 2)
+        patch.setattr(sequences, "_packed_next_term", step)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            seq(SeqKind.LUC, n, x_arg, y_arg)
+        assert [seq(SeqKind.LUC, m, x_arg, y_arg) for m in range(n + 1)] == expected
     assert len(calls) == 2 + 5  # the failed term is computed again, then the four after it
+    (entry,) = sequences._pairs.values()
+    assert entry.shape is not None and len(entry.terms) == n + 1
+    entry = fresh_generator_lists(monkeypatch)[SeqKind.FIB]
+    n = len(entry.terms) + 5
+    with monkeypatch.context() as patch:
+        build, calls = failing_once(sequences._build, 2)
+        patch.setattr(sequences, "_build", build)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            fib_poly(n)
+        assert fib_poly(n).terms == poly_fib(n)
+    assert len(calls) == 2 + 5 and len(entry.terms) == n + 1
+    # a bound the list already fills: the first build stops the list, the second is past it
+    monkeypatch.setattr(sequences, "_TERMS_BYTES", 2 * entry.size)
+    with monkeypatch.context() as patch:
+        build, calls = failing_once(sequences._build, 2)
+        patch.setattr(sequences, "_build", build)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            fib_poly(n + 3)
+        assert fib_poly(n + 3).terms == poly_fib(n + 3)
+    assert len(calls) == 3 and entry.full and len(entry.terms) == n + 1 and entry.walk is None
+    assert entry.size == stored_size(entry)
 
 
 def test_interrupted_ring_fill_recovers(monkeypatch):
@@ -163,30 +189,30 @@ def counting(patch, *names):
 
 def test_the_generator_pair_has_one_table(monkeypatch):
     steps = counting(monkeypatch, "_next_term", "_packed_next_term")
+    builds = counting(monkeypatch, "_build")
     top = len(fresh_generator_lists(monkeypatch)[SeqKind.FIB].terms) + 19
     for n in range(top + 1):
         value = fib_poly(n)
         assert fib(n) is value
         assert seq(SeqKind.FIB, n) is value
         assert evaluate(parse_expression("F[n](x, y)"), {"n": n}) is value
-    assert len(steps) == 20  # once for each of the 20 indices past the seeds
+    assert len(builds) == 20  # once for each of the 20 indices past the seeds
     for n in range(top, -1, -1):
         assert seq(SeqKind.FIB, n, X, Y) is fib_poly(n)
-    assert len(steps) == 20
+    assert len(builds) == 20 and steps == []
 
 
-def test_the_generator_pair_walks_past_its_table(monkeypatch):
-    # the list stops at a size bound: past it L(x, y) keeps every eighth pair
-    # of terms while they fit the bound, then two terms, not all
+def test_the_generator_pair_builds_past_its_table(monkeypatch):
+    # the list stops at a size bound: past it L(x, y) builds each term it is
+    # asked for and keeps none of them, nor a walk
     entry = fresh_generator_lists(monkeypatch)[SeqKind.LUC]
     monkeypatch.setattr(sequences, "_TERMS_BYTES", 40_000)
+    steps = counting(monkeypatch, "_next_term", "_packed_next_term")
     for n in range(100, -1, -1):
         assert luc(n).terms == poly_luc(n)
     top = len(entry.terms) - 1
-    assert 2 * sum(map(sequences._size, entry.terms)) <= 40_000
-    assert 0 < len(entry.marks) and top + len(entry.marks) * sequences._MARK_STEP < 90
-    assert not entry.marking
-    assert entry.size == stored_size(entry) <= 40_000
+    assert entry.full and 2 < top < 90 and entry.walk is None and steps == []
+    assert entry.size == stored_size(entry) and 2 * entry.size <= 40_000
     assert luc(top) is entry.terms[top]
 
 
@@ -255,15 +281,14 @@ def test_any_run_of_requests_gives_the_generator_terms(requests):
     st.lists(_REQUEST, min_size=20, max_size=80),
     st.integers(0, 8000),
     st.integers(0, 30_000),
-    st.integers(1, 9),
 )
 def test_requests_across_the_size_bounds_give_the_generator_terms(
-    requests, terms_bytes, pairs_bytes, mark_step
+    requests, terms_bytes, pairs_bytes
 ):
-    # bounds this small put most lists past their bound, with marks, within
-    # 40 indices, and make the pairs give up their lists and their entries
+    # bounds this small put most lists past their bound within 40 indices,
+    # and make the pairs give up their lists and their entries
     with pytest.MonkeyPatch.context() as patch:
-        small_bounds(patch, terms_bytes, pairs_bytes, mark_step)
+        small_bounds(patch, terms_bytes, pairs_bytes)
         patch.setattr(sequences, "_WALKS_MAX", 5)
         for kind, n, i in requests:
             value = seq(kind, n, *_PAIRS[i])
@@ -272,14 +297,50 @@ def test_requests_across_the_size_bounds_give_the_generator_terms(
             assert _types(value) == _types(expected)
         pairs = list(sequences._pairs.values())
         for entry in [*sequences._generator.values(), *pairs]:
-            seeds_alone = len(entry.terms) == 2 and not entry.marks
+            seeds_alone = len(entry.terms) == 2
             assert entry.size == stored_size(entry)
             assert entry.size <= terms_bytes or seeds_alone
         assert len(pairs) <= 5
         assert sequences._pairs_size == sum(entry.size for entry in pairs)
-        assert sequences._pairs_size <= pairs_bytes or all(
-            len(entry.terms) == 2 and not entry.marks for entry in pairs
-        )
+        assert sequences._pairs_size <= pairs_bytes or all(len(entry.terms) == 2 for entry in pairs)
+
+
+#: (u_m, u_{m+1}) of :func:`seq_terms` for the generator pair at every tenth m to 700
+_CHECKPOINTS = {}
+
+
+def _recurrence_term(kind, n):
+    """u_n of seq_terms(kind), stepped by the recurrence from the checkpoint below it."""
+    if kind not in _CHECKPOINTS:
+        terms = list(islice(seq_terms(kind), 702))
+        _CHECKPOINTS[kind] = [(terms[m], terms[m + 1]) for m in range(0, 701, 10)]
+    u_cur, u_next = _CHECKPOINTS[kind][n // 10]
+    for _ in range(n % 10):
+        u_cur, u_next = u_next, X * u_next + Y * u_cur
+    return u_cur
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(SeqKind), st.integers(0, 700)), min_size=1, max_size=6),
+    st.integers(0, 200_000),
+)
+@example([(SeqKind.FIB, 0), (SeqKind.FIB, 1), (SeqKind.LUC, 0), (SeqKind.LUC, 1)], 0)
+def test_direct_builds_give_the_recurrence_terms(requests, terms_bytes):
+    # bounds this small stop the generator pair's lists within about 60
+    # indices, so reads land both in the lists and past them
+    with pytest.MonkeyPatch.context() as patch:
+        small_bounds(patch, terms_bytes)
+        steps = counting(patch, "_next_term", "_packed_next_term")
+        for kind, n in requests:
+            expected = _recurrence_term(kind, n)  # seq_terms steps through sequences
+            steps.clear()
+            value = seq(kind, n)
+            assert steps == []
+            assert value == expected
+            assert _types(value) == _types(expected)
+        for entry in sequences._generator.values():
+            assert entry.walk is None and entry.size == stored_size(entry)
+            assert 2 * entry.size <= terms_bytes or len(entry.terms) == 2
 
 
 # -- lists filled on packed ints ------------------------------------------------
@@ -326,7 +387,7 @@ _FILL_TERMS = {
     st.integers(1_000, 60_000),
 )
 def test_packed_fills_give_the_ring_terms(requests, terms_bytes):
-    # bounds this small stop most lists partway, so marks and walks take over
+    # bounds this small stop most lists partway, so walks take over
     # from the packed fill, and their terms must match it
     with pytest.MonkeyPatch.context() as patch:
         small_bounds(patch, terms_bytes)
@@ -394,24 +455,27 @@ def test_past_the_bound_a_request_steps_on_from_the_closest_kept_terms(monkeypat
     assert seq(SeqKind.FIB, 200, one, 1) == fibs[200]
     (entry,) = sequences._pairs.values()
     top = len(entry.terms) - 1
-    assert 2 < top < 200 and 0 < len(entry.marks) and not entry.marking
-    step = sequences._MARK_STEP
-    for n, from_index in [(top + 3, top), (top + step + 5, top + step), (top + 1, top)]:
+    assert 2 < top < 200 and entry.full
+    # from the list top below the walk, and from the walk at or past it
+    for n, from_index in [(top + 3, top), (top + 5, top + 3), (top + 4, top + 4), (top + 1, top)]:
         steps.clear()
         assert seq(SeqKind.FIB, n, one, 1) == fibs[n]
         assert len(steps) == n - from_index  # not n - 1 from the seeds
 
 
-def test_the_full_generator_list_steps_on_from_its_top(monkeypatch):
+def test_the_full_generator_list_builds_past_its_top(monkeypatch):
     entry = fresh_generator_lists(monkeypatch)[SeqKind.FIB]
-    while entry.walk is None:
+    while not entry.full:
         seq(SeqKind.FIB, len(entry.terms))
     top = len(entry.terms) - 1
     assert top > 200  # past every index the default catalog grid reads
-    assert seq(SeqKind.FIB, top + 20).terms == poly_fib(top + 20)
     steps = counting(monkeypatch, "_next_term", "_packed_next_term")
+    builds = counting(monkeypatch, "_build")
+    assert seq(SeqKind.FIB, top + 20).terms == poly_fib(top + 20)
     assert seq(SeqKind.FIB, top + 1).terms == poly_fib(top + 1)
-    assert len(steps) == 1  # from F_top, not top + 1 steps from the seeds
+    # one build each, not a step from F_top or from the seeds, and nothing kept
+    assert len(builds) == 2 and steps == []
+    assert len(entry.terms) == top + 1 and entry.walk is None
 
 
 def test_long_walks_keep_at_most_the_bound(monkeypatch):
@@ -421,7 +485,7 @@ def test_long_walks_keep_at_most_the_bound(monkeypatch):
     tracemalloc.start()
     try:
         assert seq(SeqKind.FIB, 100000, 1, 1) % 1000 == 875
-        # the list, its marks and the walk, as the allocator counts them
+        # the list and the walk, as the allocator counts them
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -443,8 +507,8 @@ def test_an_interrupted_walk_leaves_later_calls_correct(monkeypatch):
     key = (SeqKind.LUC, sequences._types(x_arg), x_arg, sequences._types(Y), Y)
     for below, above, terms_bytes in [(4, 9, None), (40, 60, 120_000)]:
         if terms_bytes:
-            # the list stops at u_15 and keeps one mark, at u_23, so the step
-            # that fails is a walk's, past the bound
+            # the list stops at u_15, so the step that fails is a walk's, past
+            # the bound
             small_bounds(monkeypatch, terms_bytes)
         assert seq(SeqKind.LUC, below, x_arg, Y) == _expected_luc(below, x_arg)
         calls = []
