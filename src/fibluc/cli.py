@@ -123,10 +123,10 @@ def _cmd_eval(args) -> int:
     if args.at is not None:
         if args.xsub is not None or args.ysub is not None:
             raise ValueError("--at cannot be combined with --xsub/--ysub")
-        x_text, sep, y_text = args.at.partition(",")
-        if not sep:
+        point = args.at.split(",")
+        if len(point) != 2:
             raise ValueError("--at expects two rationals, e.g. --at 1,1")
-        print(seq(SeqKind(args.kind), args.n, _parse_rational(x_text), _parse_rational(y_text)))
+        print(seq(SeqKind(args.kind), args.n, *map(_parse_rational, point)))
         return 0
     x_arg = idlang.VarX() if args.xsub is None else idlang.parse_expression(args.xsub)
     y_arg = idlang.VarY() if args.ysub is None else idlang.parse_expression(args.ysub)

@@ -61,12 +61,6 @@ def _delta_fib(k: int) -> QuadExtElem:
     return QuadExtElem(ZERO, fib_poly(k))
 
 
-def _neg_y_pow(e: int) -> BivarPoly:
-    """(-y)^e; the y argument paired with the D*F_k substitution, and, negated,
-    the y argument (-1)^(k+1) y^k of the (L_k, .) composition."""
-    return (-Y) ** e
-
-
 def _even_index_sum(n: int) -> BivarPoly:
     """x * sum_{k=0}^{n-1} C(2n-1-k, k) (x^2+4y)^(n-k-1) (-y)^k."""
     return X * binomial_sum(2 * n - 1, DISCRIMINANT, -Y)
@@ -184,7 +178,7 @@ def build_catalog() -> list[IdentityCase]:
             "EQ11",
             "L(n)^2 + (-1)^(n+1) 4 y^n = (x^2+4y) F(n)^2",
             0,
-            lambda n: luc_poly(n) ** 2 - 4 * _neg_y_pow(n),
+            lambda n: luc_poly(n) ** 2 - 4 * (-Y) ** n,
             lambda n: DISCRIMINANT * fib_poly(n) ** 2,
         ),
         binary(
@@ -192,7 +186,7 @@ def build_catalog() -> list[IdentityCase]:
             "F(n)(L(k), (-1)^(k+1) y^k) F(k) = F(nk)",
             0,
             1,
-            lambda n, k: seq(SeqKind.FIB, n, luc_poly(k), -_neg_y_pow(k)) * fib_poly(k),
+            lambda n, k: seq(SeqKind.FIB, n, luc_poly(k), -((-Y) ** k)) * fib_poly(k),
             lambda n, k: fib_poly(n * k),
         ),
         binary(
@@ -200,7 +194,7 @@ def build_catalog() -> list[IdentityCase]:
             "L(n)(L(k), (-1)^(k+1) y^k) = L(nk)",
             0,
             1,
-            lambda n, k: seq(SeqKind.LUC, n, luc_poly(k), -_neg_y_pow(k)),
+            lambda n, k: seq(SeqKind.LUC, n, luc_poly(k), -((-Y) ** k)),
             lambda n, k: luc_poly(n * k),
         ),
         unary(
@@ -220,7 +214,7 @@ def build_catalog() -> list[IdentityCase]:
             "L(n) L(n+2) - L(n+1)^2 = (-1)^n y^n (x^2+4y)",
             0,
             lambda n: luc_poly(n) * luc_poly(n + 2) - luc_poly(n + 1) ** 2,
-            lambda n: _neg_y_pow(n) * DISCRIMINANT,
+            lambda n: (-Y) ** n * DISCRIMINANT,
         ),
         binary(
             "EQ16",
@@ -228,13 +222,13 @@ def build_catalog() -> list[IdentityCase]:
             0,
             1,
             lambda n, k: luc_poly(k * n) * luc_poly(k * (n + 2)) - luc_poly(k * (n + 1)) ** 2,
-            lambda n, k: _neg_y_pow(n * k) * DISCRIMINANT * fib_poly(k) ** 2,
+            lambda n, k: (-Y) ** (n * k) * DISCRIMINANT * fib_poly(k) ** 2,
         ),
         unary(
             "EQ17",
             "L(n)^2 + 2 (-1)^(n+1) y^n = L(2n)",
             0,
-            lambda n: luc_poly(n) ** 2 - 2 * _neg_y_pow(n),
+            lambda n: luc_poly(n) ** 2 - 2 * (-Y) ** n,
             lambda n: luc_poly(2 * n),
         ),
         binary(
@@ -242,7 +236,7 @@ def build_catalog() -> list[IdentityCase]:
             "F(2n)(L(k), (-1)^(k+1) y^k) = L(k) F(n)(L(2k), -y^(2k))",
             0,
             1,
-            lambda n, k: seq(SeqKind.FIB, 2 * n, luc_poly(k), -_neg_y_pow(k)),
+            lambda n, k: seq(SeqKind.FIB, 2 * n, luc_poly(k), -((-Y) ** k)),
             lambda n, k: luc_poly(k) * seq(SeqKind.FIB, n, luc_poly(2 * k), -(Y ** (2 * k))),
         ),
         binary(
@@ -251,7 +245,7 @@ def build_catalog() -> list[IdentityCase]:
             1,
             1,
             lambda n, k: fib_poly(2 * k)
-            * binomial_sum(2 * n - 1, DISCRIMINANT * fib_poly(k) ** 2, _neg_y_pow(k)),
+            * binomial_sum(2 * n - 1, DISCRIMINANT * fib_poly(k) ** 2, (-Y) ** k),
             lambda n, k: fib_poly(2 * k * n),
         ),
         unary(
@@ -266,7 +260,7 @@ def build_catalog() -> list[IdentityCase]:
             "(-1)^(k+1) y^k F(k(n-1)) + F(k(n+1)) = F(k) L(nk)",
             1,
             1,
-            lambda n, k: -_neg_y_pow(k) * fib_poly(k * (n - 1)) + fib_poly(k * (n + 1)),
+            lambda n, k: -((-Y) ** k) * fib_poly(k * (n - 1)) + fib_poly(k * (n + 1)),
             lambda n, k: fib_poly(k) * luc_poly(n * k),
         ),
         unary(
@@ -282,16 +276,16 @@ def build_catalog() -> list[IdentityCase]:
             "L(2k) L(k(2n+2)) + (-1)^(k+1) y^k L(k) L(k(2n+1))",
             0,
             1,
-            lambda n, k: luc_poly(k * (n + 2)) ** 2 - _neg_y_pow(k) * luc_poly(k * (n + 1)) ** 2,
+            lambda n, k: luc_poly(k * (n + 2)) ** 2 - (-Y) ** k * luc_poly(k * (n + 1)) ** 2,
             lambda n, k: luc_poly(2 * k) * luc_poly(k * (2 * n + 2))
-            - _neg_y_pow(k) * luc_poly(k) * luc_poly(k * (2 * n + 1)),
+            - (-Y) ** k * luc_poly(k) * luc_poly(k * (2 * n + 1)),
         ),
         binary(
             "EQ24",
             "F(2n+1)(D F(k), (-1)^k y^k) L(k) = L(k(2n+1))",
             0,
             1,
-            lambda n, k: seq(SeqKind.FIB, 2 * n + 1, _delta_fib(k), _neg_y_pow(k)) * luc_poly(k),
+            lambda n, k: seq(SeqKind.FIB, 2 * n + 1, _delta_fib(k), (-Y) ** k) * luc_poly(k),
             lambda n, k: luc_poly(k * (2 * n + 1)),
         ),
         binary(
@@ -299,7 +293,7 @@ def build_catalog() -> list[IdentityCase]:
             "F(2n)(D F(k), (-1)^k y^k) L(k) = D F(2kn)",
             0,
             1,
-            lambda n, k: seq(SeqKind.FIB, 2 * n, _delta_fib(k), _neg_y_pow(k)) * luc_poly(k),
+            lambda n, k: seq(SeqKind.FIB, 2 * n, _delta_fib(k), (-Y) ** k) * luc_poly(k),
             lambda n, k: DELTA * fib_poly(2 * k * n),
         ),
         binary(
@@ -307,7 +301,7 @@ def build_catalog() -> list[IdentityCase]:
             "L(2n+1)(D F(k), (-1)^k y^k) = D F(k(2n+1))",
             0,
             1,
-            lambda n, k: seq(SeqKind.LUC, 2 * n + 1, _delta_fib(k), _neg_y_pow(k)),
+            lambda n, k: seq(SeqKind.LUC, 2 * n + 1, _delta_fib(k), (-Y) ** k),
             lambda n, k: DELTA * fib_poly(k * (2 * n + 1)),
         ),
         binary(
@@ -315,7 +309,7 @@ def build_catalog() -> list[IdentityCase]:
             "L(2n)(D F(k), (-1)^k y^k) = L(2kn)",
             0,
             1,
-            lambda n, k: seq(SeqKind.LUC, 2 * n, _delta_fib(k), _neg_y_pow(k)),
+            lambda n, k: seq(SeqKind.LUC, 2 * n, _delta_fib(k), (-Y) ** k),
             lambda n, k: luc_poly(2 * k * n),
         ),
         binary(
@@ -323,7 +317,7 @@ def build_catalog() -> list[IdentityCase]:
             "(-1)^k y^k L(k(2n-1)) + L(k(2n+1)) = L(2kn) L(k)",
             1,
             1,
-            lambda n, k: _neg_y_pow(k) * luc_poly(k * (2 * n - 1)) + luc_poly(k * (2 * n + 1)),
+            lambda n, k: (-Y) ** k * luc_poly(k * (2 * n - 1)) + luc_poly(k * (2 * n + 1)),
             lambda n, k: luc_poly(2 * k * n) * luc_poly(k),
         ),
         binary(
@@ -331,7 +325,7 @@ def build_catalog() -> list[IdentityCase]:
             "(-1)^k y^k F(2kn) + F(k(2n+2)) = F(k(2n+1)) L(k)",
             0,
             1,
-            lambda n, k: _neg_y_pow(k) * fib_poly(2 * k * n) + fib_poly(k * (2 * n + 2)),
+            lambda n, k: (-Y) ** k * fib_poly(2 * k * n) + fib_poly(k * (2 * n + 2)),
             lambda n, k: fib_poly(k * (2 * n + 1)) * luc_poly(k),
         ),
         binary(
@@ -350,7 +344,7 @@ def build_catalog() -> list[IdentityCase]:
             1,
             lambda n, k: DISCRIMINANT * fib_poly(k * (2 * n - 1)) * fib_poly(k * (2 * n + 1))
             - luc_poly(2 * k * n) ** 2,
-            lambda n, k: -_neg_y_pow(k * (2 * n - 1)) * luc_poly(k) ** 2,
+            lambda n, k: -((-Y) ** (k * (2 * n - 1))) * luc_poly(k) ** 2,
         ),
     ]
 
@@ -397,10 +391,6 @@ def run_catalog(
     selected = select_ids(build_catalog() if cases is None else cases, ids, "identity")
     cells: list[CellResult] = []
     for case in selected:
-        for n in range(case.n_min, n_max + 1):
-            if case.is_binary:
-                for k in range(case.k_min, k_max + 1):
-                    cells.append(check_case(case, n, k))
-            else:
-                cells.append(check_case(case, n))
+        ks = range(case.k_min, k_max + 1) if case.is_binary else [None]
+        cells += [check_case(case, n, k) for n in range(case.n_min, n_max + 1) for k in ks]
     return CheckReport.from_cells(cells)

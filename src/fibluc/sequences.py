@@ -42,7 +42,7 @@ from math import comb
 from typing import Iterator, NamedTuple
 
 from .poly import DISCRIMINANT, ONE, BivarPoly, QuadExtElem, X, Y, ZERO, binary_power
-from .poly import _pack, _unpack
+from .poly import _pack, _poly, _unpack
 
 
 class SeqKind(Enum):
@@ -219,13 +219,6 @@ def _pack_pair(shape: _Shape, u_prev, u_cur, m: int) -> _Packed:
     ints = [_pack(part, s) for u in (u_prev, u_cur) for part in _parts(u)]
     factors = tuple(_factor(terms, s) for terms in shape.factors)
     return _Packed(s, cover, factors, *ints, sum(map(_size, ints)))
-
-
-def _poly(terms: dict) -> BivarPoly:
-    """The polynomial of a term dict of nonzero ints that nothing else holds, taken as is."""
-    value = BivarPoly.__new__(BivarPoly)
-    value._terms = terms
-    return value
 
 
 def _build(kind: SeqKind, m: int) -> BivarPoly:
@@ -445,8 +438,7 @@ class PolyMatrix2:
         # anything else is a scalar acting entrywise
         return PolyMatrix2(self.e11 * other, self.e12 * other, self.e21 * other, self.e22 * other)
 
-    def __rmul__(self, other):
-        return self * other
+    __rmul__ = __mul__
 
     def __add__(self, other: PolyMatrix2) -> PolyMatrix2:
         return PolyMatrix2(

@@ -134,9 +134,10 @@ def test_eval_rejects_at_with_substitution(capsys):
 
 
 def test_eval_at_needs_two_rationals(capsys):
-    code, out, err = run_cli(capsys, "eval", "F", "3", "--at", "1")
-    assert (code, out) == (2, "")
-    assert err == "error: --at expects two rationals, e.g. --at 1,1\n"
+    for point in ("1", "1,1,1"):
+        code, out, err = run_cli(capsys, "eval", "F", "3", "--at", point)
+        assert (code, out) == (2, "")
+        assert err == "error: --at expects two rationals, e.g. --at 1,1\n"
 
 
 def test_eval_delta_substitution(capsys):

@@ -173,13 +173,6 @@ def test_divisibility_form_of_composition():
             assert q * fib(k) == fib(n * k)
 
 
-def test_homogeneity_scaling():
-    # F_n(2x, 4y) = 2^(n-1) F_n, L_n(2x, 4y) = 2^n L_n
-    for n in range(1, 11):
-        assert fib(n).substitute(2 * X, 4 * Y) == 2 ** (n - 1) * fib(n)
-        assert luc(n).substitute(2 * X, 4 * Y) == 2**n * luc(n)
-
-
 def test_report_ordering_and_records():
     report = run_catalog(3, 2, ids=["EQ16", "EQ04"])
     keys = [(cell.case_id, cell.n, cell.k) for cell in report.cells]
