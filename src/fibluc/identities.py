@@ -12,6 +12,7 @@ per-case minima keep all subscripts nonnegative.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -370,9 +371,14 @@ def check_case(case: IdentityCase, n: int, k: int | None = None) -> CellResult:
 
 
 def check_grid_bounds(n_max: int, k_max: int) -> None:
-    """The grid upper bounds every catalog or corpus run needs."""
+    """The grid upper bounds every catalog or corpus run needs: an axis
+    0..bound of more than ``sys.maxsize`` values, the most a list can hold,
+    is refused as well."""
     if n_max < 1 or k_max < 1:
         raise ValueError("n_max and k_max must be at least 1")
+    for name, bound in (("n_max", n_max), ("k_max", k_max)):
+        if bound >= sys.maxsize:
+            raise ValueError(f"{name} {bound}: axis 0..{bound} has more than {sys.maxsize} values")
 
 
 def run_catalog(

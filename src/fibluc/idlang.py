@@ -29,14 +29,14 @@ Parsing and evaluation are pure; ASTs are immutable.  Each node kind's rules
 from __future__ import annotations
 
 import importlib.resources
-import itertools
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .poly import BivarPoly, DELTA, X, Y, ZERO
+from .poly import BivarPoly, DELTA, QuadExtElem, X, Y, ZERO
 from .report import CheckReport, DomainError, check_cell
 from .sequences import SeqKind, binomial, seq
 
@@ -90,6 +90,25 @@ class Node:
 
     def _free(self, bound: tuple[str, ...]) -> set[str]:
         return set()
+
+
+class _SumEnv(dict):
+    """The binding a sum hands its body: the meta-variables, plus the sum's
+    variable ``var``, a power table per ``Pow`` node (by id) and ``limit``,
+    the highest exponent a table reaches, twice the sum's term count.
+
+    A body's powers of a base that does not vary with ``var`` mostly run
+    over consecutive exponents, so building them upward costs one product
+    each, where each power alone costs about log2(e) + popcount(e).
+    """
+
+    __slots__ = ("var", "limit", "tables")
+
+    def __init__(self, env: Mapping[str, int], var: str, limit: int) -> None:
+        super().__init__(env)
+        self.var = var
+        self.limit = limit
+        self.tables: dict[int, list] = {}
 
 
 @dataclass(frozen=True)
@@ -195,6 +214,15 @@ class Mul(_Binary):
 
 @dataclass(frozen=True)
 class Pow(Node):
+    """``base^exponent``.
+
+    Inside a sum, a base that does not depend on the sum's variable is
+    evaluated once, and when it is a ``QuadExtElem`` or a polynomial of two or
+    more terms, its powers up to the sum's limit come from one table that
+    grows by one product with the base per step (see :class:`_SumEnv`).
+    Every other power is ``base ** exponent``.
+    """
+
     base: "Node"
     exponent: "Node"
 
@@ -202,7 +230,27 @@ class Pow(Node):
 
     def _eval(self, env: Mapping[str, int]):
         exponent = _eval_index(self.exponent, env, self, "exponent")
+        if type(env) is _SumEnv and exponent <= env.limit:
+            tables = env.tables
+            powers = tables.get(id(self))
+            if powers is None:
+                powers = tables[id(self)] = self._powers(env)
+            if powers:
+                while len(powers) <= exponent:
+                    powers.append(powers[-1] * powers[1])
+                return powers[exponent]
         return self.base._eval(env) ** exponent
+
+    def _powers(self, env: _SumEnv) -> list:
+        """``[base^0, base]`` to start this node's table in ``env``'s sum, or
+        ``[]`` where the base depends on the sum's variable or gains nothing
+        from a table (an int, a monomial)."""
+        if env.var in self.base._free(()):
+            return []
+        base = self.base._eval(env)
+        if isinstance(base, QuadExtElem) or isinstance(base, BivarPoly) and len(base._terms) > 1:
+            return [base**0, base]
+        return []
 
     def _free(self, bound: tuple[str, ...]) -> set[str]:
         return self.base._free(bound) | self.exponent._free(bound)
@@ -234,6 +282,13 @@ class Binom(Node):
 
 @dataclass(frozen=True)
 class Sum(Node):
+    """``sum(var=low..high, body)``.
+
+    The body sees a :class:`_SumEnv` of its own, with power tables for this
+    evaluation alone: a nested sum starts its own, and the tables go when the
+    sum returns.
+    """
+
     var: str
     low: "Node"
     high: "Node"
@@ -243,7 +298,7 @@ class Sum(Node):
         low = _eval_index(self.low, env)
         high = _eval_index(self.high, env)
         total = ZERO
-        inner = dict(env)
+        inner = _SumEnv(env, self.var, 2 * (high - low + 1))
         for value in range(low, high + 1):
             inner[self.var] = value
             total = total + self.body._eval(inner)
@@ -587,7 +642,8 @@ def check(ast: Eq, ranges: Mapping[str, tuple[int, int]], case_id: str = "user")
     subscript, exponent or binomial upper index at some grid point is outside
     the identity's domain, not a counterexample: it raises ``DomainError``,
     naming the expression and the binding.  An empty range raises
-    ``ValueError``, because it would check no cell.
+    ``ValueError``, because it would check no cell, and so does a range of
+    more than ``sys.maxsize`` values, the most a list can hold.
     """
     if not isinstance(ast, Eq):
         raise ValueError("expected an identity of the form lhs = rhs")
@@ -596,18 +652,23 @@ def check(ast: Eq, ranges: Mapping[str, tuple[int, int]], case_id: str = "user")
     if missing:
         raise ValueError(f"no range given for meta-variable(s): {', '.join(missing)}")
 
-    def axis(name: str) -> list[int | None]:
+    def axis(name: str) -> range | list[None]:
         if name not in free:
             return [None]
         low, high = ranges[name]
         if low > high:
             raise ValueError(f"empty range '{name}={low}..{high}': low bound above high bound")
-        return list(range(low, high + 1))
+        if high - low >= sys.maxsize:
+            raise ValueError(f"range '{name}={low}..{high}' has more than {sys.maxsize} values")
+        return range(low, high + 1)
 
+    ns, ks = axis("n"), axis("k")
     cells = []
-    for n, k in itertools.product(axis("n"), axis("k")):
-        env = {name: value for name, value in (("n", n), ("k", k)) if value is not None}
-        cells.append(check_cell(case_id, n, k, lambda: (ast.lhs._eval(env), ast.rhs._eval(env))))
+    for n in ns:
+        for k in ks:
+            env = {name: value for name, value in (("n", n), ("k", k)) if value is not None}
+            cell = check_cell(case_id, n, k, lambda: (ast.lhs._eval(env), ast.rhs._eval(env)))
+            cells.append(cell)
     return CheckReport.from_cells(cells)
 
 

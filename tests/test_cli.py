@@ -472,6 +472,31 @@ def test_verify_corpus_rejects_empty_grid(capsys, bound):
     assert "must be at least 1" in err
 
 
+_HUGE = "99999999999999999999"  # past sys.maxsize, the longest a Python sequence can be
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "F[n] = F[n]", "--range", f"n=0..{_HUGE}"],
+        ["verify", "--corpus", "--k-max", _HUGE],
+        ["catalog", "--n-max", _HUGE],
+    ],
+)
+def test_a_grid_axis_longer_than_a_sequence_is_a_usage_error(capsys, argv):
+    # before, the first two raised OverflowError (exit 1) and the catalog ran until killed
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert _HUGE in err and f"more than {sys.maxsize} values" in err
+
+
+def test_a_short_range_of_huge_indices_is_checked(capsys):
+    low = int(_HUGE) - 1
+    code, out, _ = run_cli(capsys, "verify", "binom(n, 0) = 1", "--range", f"n={low}..{_HUGE}")
+    assert code == 0
+    assert "all 2 cells pass" in out
+
+
 def test_verify_corpus_parse_error_reports_file_position(tmp_path, capsys):
     corpus = tmp_path / "bad.txt"
     good = "y*F[n-1] + F[n+1] = L[n]"

@@ -1,11 +1,12 @@
 """Identity-language parsing, evaluation, grid checks, and fuzzing."""
 
+import dataclasses
 import functools
 import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from fibluc import (
     BivarPoly,
@@ -32,6 +33,7 @@ from fibluc.idlang import (
     MetaVar,
     Mul,
     Neg,
+    Node,
     Pow,
     SeqApp,
     Sub,
@@ -205,6 +207,10 @@ def test_evaluate_negative_subscript_raises_domain_error():
 def test_evaluate_negative_exponent_raises_domain_error():
     with pytest.raises(DomainError):
         evaluate(parse_expression("y^(n-2)"), {"n": 0})
+    # inside a sum, whose power tables leave the message as it was
+    with pytest.raises(DomainError) as info:
+        evaluate(parse_expression("sum(r=0..n, (x+y)^(r-1))"), {"n": 0})
+    assert str(info.value) == "negative exponent -1 in (x + y)^(r - 1) at {n=0, r=0}"
 
 
 def test_evaluate_lifts_integer_results_to_polynomials():
@@ -375,6 +381,107 @@ def test_render_parenthesizes_only_when_needed():
     assert render(parse_expression("-y^k")) == "-y^k"
     assert render(parse_expression("(x+y)*x")) == "(x + y) * x"
     assert render(parse_expression("x+y*x")) == "x + y * x"
+
+
+# -- power tables inside sums ---------------------------------------------------------
+
+
+def _outcome(compute):
+    """``compute()``'s value with its type, or its error's type and text."""
+    try:
+        value = compute()
+    except ValueError as exc:  # DomainError too
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def _term_by_term(node: Sum, binding):
+    """The sum's value with no power table: ``evaluate`` outside a sum takes none."""
+    env = dict(binding)
+    total = BivarPoly.const(0)
+    for value in range(node.low._eval(env), node.high._eval(env) + 1):
+        total = total + evaluate(node.body, {**binding, node.var: value})
+    return total
+
+
+def _assert_tables_change_nothing(node: Sum, binding):
+    assert _outcome(lambda: evaluate(node, binding)) == _outcome(
+        lambda: _term_by_term(node, binding)
+    ), render(node)
+
+
+def _nodes(node):
+    yield node
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, Node):
+                yield from _nodes(child)
+
+
+_INDEX_FIELDS = {
+    Pow: ("exponent",),
+    Binom: ("upper", "lower"),
+    Sum: ("low", "high"),
+    SeqApp: ("index",),
+}
+
+
+def _no_index_products(node) -> bool:
+    """True when no index multiplies, which keeps every index at most 24 and
+    every power and sum small enough to evaluate twice."""
+    return not any(
+        isinstance(inner, Mul)
+        for outer in _nodes(node)
+        for name in _INDEX_FIELDS.get(type(outer), ())
+        for inner in _nodes(getattr(outer, name))
+    )
+
+
+def _sum_asts(var, scope):
+    """Sums over ``var``, from 0..2 to 0..8 or a meta-variable, whose bodies
+    hold a power of a binomial, often free of ``var``, so that many of them
+    read a power table."""
+    outer = tuple(name for name in scope if name != var)
+    operand = _expression_asts(outer, 1) | _expression_asts(scope, 1)
+    base = st.builds(Add, operand, st.builds(IntLit, st.integers(1, 3)))
+    power = st.builds(Pow, base, _index_asts(scope, 0))
+    body = _expression_asts(scope, 2)
+    return st.builds(
+        Sum,
+        st.just(var),
+        st.builds(IntLit, st.integers(0, 2)),
+        st.builds(IntLit, st.integers(0, 8)) | st.builds(MetaVar, st.sampled_from(outer)),
+        st.builds(Mul, power, body) | st.builds(Add, power, body),
+    )
+
+
+_SUMS = _sum_asts("j", ("j", "k", "n")) | _sum_asts("n", ("k", "n"))
+
+
+@given(_SUMS, st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_a_sum_with_power_tables_equals_its_terms_evaluated_alone(node, n, k):
+    # an assumption, not a filter: a filter's retries render the whole strategy
+    assume(_no_index_products(node))
+    _assert_tables_change_nothing(node, {"n": n, "k": k})
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "sum(r=0..n, 2^(n-r))",  # an int base
+        "sum(r=0..n, (-y)^r)",  # a monomial base
+        "sum(r=0..n-1, (x^2+4*y)^(n-1-r))",  # a base of two or more terms
+        "sum(r=0..n, (x+D)^r)",  # a QuadExtElem base
+        "sum(r=1..n, (x+F[r])^2)",  # a base that depends on the sum variable
+        "sum(r=0..n, sum(s=0..r, (x+F[r])^s))",  # an inner base that depends on the outer variable
+        "sum(r=0..n, (x+y)^0)",  # exponent 0
+        "sum(r=0..2, (x+y)^(40*r))",  # exponents past the table's limit
+    ],
+)
+def test_power_tables_change_no_sum(source):
+    _assert_tables_change_nothing(parse_expression(source), {"n": 4})
 
 
 # -- corpus --------------------------------------------------------------------------
