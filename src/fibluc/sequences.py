@@ -8,16 +8,16 @@ deliberately generic over its arguments so the same code produces classic
 polynomials, polynomials composed with other polynomials, extension-ring
 values, and plain integer or rational specializations.
 
-:func:`seq` returns every F and L value the package uses.  For each kind
-and argument pair it keeps the terms it has computed, up to a size bound: the
-list u_0 .. u_t while it fits half the bound, and the last two terms of its
-latest walk.  A request at or below t reads the list; a higher one steps on
-from the walk or from u_t, not from the seeds.  The generator pair (x, y) has
-a pinned entry per kind that builds every term from its binomial
-coefficients (:func:`_build`) and never walks; the 64 other pairs used most
-recently keep theirs, and past a total size budget the least recently used
-give up their lists.  One lock guards the whole store and a call steps its
-entry in place while holding it, so everything here is safe to invoke
+:func:`seq` returns every F and L value the package uses.  The generator
+pair (x, y) builds each term it is asked for from its binomial coefficients
+(:func:`_build`) and keeps the terms read, of both kinds, while they fit a
+size bound.  Any other pair keeps, per kind, the terms it has computed up to
+that bound: the list u_0 .. u_t while it fits half the bound, and the last two
+terms of its latest walk.  A request at or below t reads the list; a higher
+one steps on from the walk or from u_t, not from the seeds.  The 64 pairs used
+most recently keep theirs, and past a total size budget the least recently
+used give up their lists.  One lock guards the whole store and a call steps
+its entry in place while holding it, so everything here is safe to invoke
 concurrently, and one long walk holds up the other threads' calls.
 
 Where every term is a weighted-homogeneous int polynomial, the list of any
@@ -83,12 +83,12 @@ def seq_terms(kind: SeqKind, x_arg=X, y_arg=Y) -> Iterator:
 #: on lists of F_n(x, y) and F_n(2x, y).  The coefficient's bits count on top,
 #: at bits / 8, so a list of huge numbers is measured by its digits.
 _MONOMIAL_BYTES = 128
-#: Estimated bytes each kind keeps for one argument pair: its list fills half
-#: of it.  The list of F(x, y) then reaches F_298 (F_0 .. F_640 is 16.8 MB),
-#: that of F(1, 1) F_7170, and every list of the ``composed`` grid stays whole.
-#: Past it (x, y) builds each term it is asked for and any other pair walks:
-#: ``eval F 2000`` and ``eval F 100000 --at 1,1`` take max RSS 20.3 and
-#: 18.7 MB, against 17.6 and 16.7 MB with no list at all.
+#: Estimated bytes each kind keeps for one pair other than (x, y): its list
+#: fills half of it, so that of F(1, 1) reaches F_7170 and every list of the
+#: ``composed`` grid stays whole.  F(x, y) and L(x, y) keep the terms read
+#: within all of it together, F_0 .. F_415 alone (F_0 .. F_640 is 16.8 MB):
+#: ``eval F 2000`` and ``eval F 100000 --at 1,1`` take max RSS 17.6 and
+#: 18.7 MB, against 17.6 and 16.5 MB with no list at all.
 _TERMS_BYTES = 6 << 20
 #: Estimated bytes of the entries of all pairs other than (x, y) together.
 #: Past it the least recently used give up their lists but keep their walks:
@@ -259,40 +259,34 @@ def _packed_next_term(shape: _Shape, packed: _Packed, m: int):
 
 
 class _Terms:
-    """The terms one kind keeps for one argument pair, within ``_TERMS_BYTES``.
+    """The terms one kind keeps for one pair other than (x, y), within ``_TERMS_BYTES``.
 
     ``terms`` is u_0 .. u_t, every term computed while the list fits half
-    the bound (``size``, by :func:`_size`), and ``full`` once it stops.
-    ``walk`` is (m, u_{m-1}, u_m) for the last index stepped to past t; the
-    generator pair's entry has its kind in ``direct``, builds every term by
-    :func:`_build` and never walks.  A pair with a ``shape`` (see
-    :func:`_shape`) fills its list on packed ints and keeps u_{t-1} and u_t
-    packed in ``packed`` between calls, counted in ``size``, until the list
-    stops; walks take the ring step.  :func:`seq` steps an entry in place
-    under its lock.  The list only gains whole terms and the walk and packed
-    pair are set once per term, so a step that raises leaves every field
-    correct.
+    the bound (``size``, by :func:`_size`).  ``walk`` is None until the list
+    stops, then (m, u_{m-1}, u_m) for the last index stepped to past t.  A
+    pair with a ``shape`` (see :func:`_shape`) fills its list on packed ints
+    and keeps u_{t-1} and u_t packed in ``packed`` between calls, counted in
+    ``size``, until the list stops; walks take the ring step.  :func:`seq`
+    steps an entry in place under its lock.  The list only gains whole terms
+    and the walk and packed pair are set once per term, so a step that
+    raises leaves every field correct.
     """
 
-    __slots__ = ("terms", "full", "size", "walk", "direct", "shape", "packed")
+    __slots__ = ("terms", "size", "walk", "shape", "packed")
 
-    def __init__(self, kind: SeqKind, x_arg, y_arg=Y) -> None:
+    def __init__(self, kind: SeqKind, x_arg, y_arg) -> None:
         self.terms = list(_seeds(kind, x_arg))
-        self.full = False
         self.size = sum(map(_size, self.terms))
         self.walk = None
-        self.direct = kind if x_arg is X and y_arg is Y else None
-        self.shape = None if self.direct else _shape(kind, x_arg, y_arg)
+        self.shape = _shape(kind, x_arg, y_arg)
         self.packed = None
 
     def term(self, n: int, x_arg, y_arg):
-        """u_n: a list read at or below t, else a build or a step on from the walk or u_t."""
+        """u_n: a list read at or below t, else a step on from the walk or u_t."""
         terms = self.terms
-        while not self.full and len(terms) <= n:
+        while self.walk is None and len(terms) <= n:
             m = len(terms)
-            if self.direct:
-                u_next, packed = _build(self.direct, m), None
-            elif self.shape is None:
+            if self.shape is None:
                 u_next, packed = _next_term(x_arg, y_arg, terms[-2], terms[-1]), None
             else:
                 packed = self.packed
@@ -302,18 +296,15 @@ class _Terms:
             kept = self.size - (self.packed.size if self.packed else 0)
             size = kept + _size(u_next) + (packed.size if packed else 0)
             if 2 * size > _TERMS_BYTES:
-                self.full = True
                 self.size = kept
                 self.packed = None
-                self.walk = None if self.direct else (m, terms[-1], u_next)
+                self.walk = (m, terms[-1], u_next)
                 break
             terms.append(u_next)
             self.size = size
             self.packed = packed
         if n < len(terms):
             return terms[n]
-        if self.direct:
-            return _build(self.direct, n)
         m, u_prev, u_cur = len(terms) - 1, terms[-2], terms[-1]
         if m < self.walk[0] <= n + 1:
             m, u_prev, u_cur = self.walk
@@ -329,7 +320,6 @@ class _Terms:
         if self.walk is None:
             self.walk = (len(terms) - 1, terms[-2], terms[-1])
         self.terms = terms[:2]
-        self.full = True
         self.packed = None
         self.size = sum(map(_size, self.terms))
 
@@ -349,7 +339,10 @@ def _types(value):
 
 
 _lock = threading.Lock()
-_generator = {kind: _Terms(kind, X) for kind in SeqKind}
+# (kind, n) -> u_n(x, y), for the seeds and every term read that fits _TERMS_BYTES
+_built = {(kind, m): u for kind in SeqKind for m, u in enumerate(_seeds(kind, X))}
+# the sum of the sizes of the terms in _built
+_built_size = sum(map(_size, _built.values()))
 # (kind, _types(x_arg), x_arg, _types(y_arg), y_arg) -> _Terms, oldest use first
 _pairs: dict = {}
 # the sum of the sizes of the entries in _pairs
@@ -359,27 +352,33 @@ _pairs_size = 0
 def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
     """n-th term of :func:`seq_terms`: every F and L value comes from here.
 
-    Each kind keeps a :class:`_Terms` entry for each argument pair, as the
-    module docstring describes; the values and coefficient types are those
-    of :func:`seq_terms`.  ``seq(FIB, 2000)`` fills F_0 .. F_298, which stay
-    alive for the life of the process, and builds F_2000 without keeping it.
+    The values and coefficient types are those of :func:`seq_terms`.  The
+    generator pair itself (``x_arg is X and y_arg is Y``) reads ``_built``;
+    a term missing there is built by :func:`_build`, and kept for the life
+    of the process while ``_built`` fits ``_TERMS_BYTES``, so every read of
+    a kept term returns one object.  ``seq(FIB, 2000)`` builds F_2000 alone.
 
-    The generator pair itself (``x_arg is X and y_arg is Y``) has one
-    pinned entry per kind.  Any other pair is keyed by the kind and the
-    argument pair with their types and coefficient types, so only
-    arguments that compute alike share one, and the arguments must be
-    hashable.  Past ``_WALKS_MAX`` pairs the least recently used entry
-    goes, and past ``_PAIRS_BYTES`` in all the least recently used give up
-    their lists; such a pair steps from the seeds again below its
-    walk.  Each call steps its entry in place under the store's one lock,
-    so two callers of one pair walk it once.
+    Any other pair has a :class:`_Terms` entry per kind, as the module
+    docstring describes, keyed by the kind and the argument pair with their
+    types and coefficient types, so only arguments that compute alike share
+    one, and the arguments must be hashable.  Past ``_WALKS_MAX`` pairs the
+    least recently used entry goes, and past ``_PAIRS_BYTES`` in all the
+    least recently used give up their lists; such a pair steps from the
+    seeds again below its walk.  Each call steps its entry in place under
+    the store's one lock, so two callers of one pair walk it once.
     """
-    global _pairs_size
+    global _built_size, _pairs_size
     if n < 0:
         raise ValueError(f"sequence index must be nonnegative, got {n}")
     with _lock:
         if x_arg is X and y_arg is Y:
-            return _generator[kind].term(n, X, Y)
+            term = _built.get((kind, n))
+            if term is None:
+                term = _build(kind, n)
+                if (size := _built_size + _size(term)) <= _TERMS_BYTES:
+                    _built[kind, n] = term
+                    _built_size = size
+            return term
         key = (kind, _types(x_arg), x_arg, _types(y_arg), y_arg)
         entry = _pairs.pop(key, None)
         if entry is None:

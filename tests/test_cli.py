@@ -62,17 +62,30 @@ def test_an_integral_point_computes_on_ints(capsys, monkeypatch):
 
 
 def test_eval_past_the_generator_table_keeps_only_the_table(capsys, monkeypatch):
-    # a list of every term to F_2000 took 260 MB; past the size bound eval
-    # builds the term it prints and keeps neither it nor a walk
+    # a list of every term to F_2000 took 260 MB, and a list to the size bound
+    # kept terms eval never reads: eval builds the one term it prints, and
+    # keeps it only while the kept terms fit the bound
+    built = {key: u for key, u in sequences._built.items() if key[1] < 2}
+    monkeypatch.setattr(sequences, "_built", built)
+    monkeypatch.setattr(sequences, "_built_size", sum(map(sequences._size, built.values())))
     monkeypatch.setattr(sequences, "_TERMS_BYTES", 40_000)
-    fresh = {kind: sequences._Terms(kind, sequences.X) for kind in SeqKind}
-    monkeypatch.setattr(sequences, "_generator", fresh)
-    code, out, err = run_cli(capsys, "eval", "F", "120")
-    assert (code, err) == (0, "")
-    assert out == f"{next(islice(seq_terms(SeqKind.FIB), 120, None))}\n"
-    entry = fresh[SeqKind.FIB]
-    assert entry.full and len(entry.terms) < 100 and entry.walk is None
-    assert entry.size == sum(map(sequences._size, entry.terms)) <= 20_000
+    builds = []
+    real_build = sequences._build
+
+    def build(kind, n):
+        builds.append((kind, n))
+        return real_build(kind, n)
+
+    monkeypatch.setattr(sequences, "_build", build)
+    for n in 120, 121:
+        code, out, err = run_cli(capsys, "eval", "F", str(n))
+        assert (code, err) == (0, "")
+        assert out == f"{next(islice(seq_terms(SeqKind.FIB), n, None))}\n"
+        assert builds.pop() == (SeqKind.FIB, n) and builds == []
+        # F_120 fits, and F_121 is past the bound that it leaves
+        monkeypatch.setattr(sequences, "_TERMS_BYTES", sequences._built_size)
+    assert sorted(n for _, n in built) == [0, 0, 1, 1, 120]
+    assert sequences._built_size == sum(map(sequences._size, built.values())) <= 40_000
 
 
 def test_results_past_the_int_to_str_digit_limit_are_printed(capsys):

@@ -70,10 +70,17 @@ def test_cached_tables_match_oracle():
         assert luc_poly(n).terms == poly_luc(n)
 
 
-def fresh_generator_lists(patch):
-    """Give the generator pair new, empty term lists for the rest of the test."""
-    patch.setattr(sequences, "_generator", {kind: sequences._Terms(kind, X) for kind in SeqKind})
-    return sequences._generator
+def built_size(built):
+    """The store's measure of the generator pair's memo."""
+    return sum(map(sequences._size, built.values()))
+
+
+def fresh_generator_memo(patch):
+    """Give the generator pair a memo of its seeds alone for the rest of the test."""
+    built = {(kind, m): u for kind in SeqKind for m, u in enumerate(sequences._seeds(kind, X))}
+    patch.setattr(sequences, "_built", built)
+    patch.setattr(sequences, "_built_size", built_size(built))
+    return built
 
 
 def small_bounds(patch, terms_bytes, pairs_bytes=1 << 30):
@@ -82,7 +89,7 @@ def small_bounds(patch, terms_bytes, pairs_bytes=1 << 30):
     patch.setattr(sequences, "_PAIRS_BYTES", pairs_bytes)
     patch.setattr(sequences, "_pairs", {})
     patch.setattr(sequences, "_pairs_size", 0)
-    return fresh_generator_lists(patch)
+    return fresh_generator_memo(patch)
 
 
 def stored_size(entry):
@@ -108,8 +115,8 @@ def failing_once(real, at):
 
 def test_interrupted_cache_fill_recovers(monkeypatch):
     # an exception inside a list fill must not break the list for later calls:
-    # the packed fill of (L_3, -y^3), then the generator pair's builds, in its
-    # list and past it
+    # the packed fill of (L_3, -y^3), then the generator pair's builds, within
+    # its memo's bound and past it
     monkeypatch.setattr(sequences, "_pairs", {})
     monkeypatch.setattr(sequences, "_pairs_size", 0)
     x_arg, y_arg, n = luc_poly(3), -(Y**3), 7
@@ -124,25 +131,27 @@ def test_interrupted_cache_fill_recovers(monkeypatch):
     assert len(calls) == 2 + 5  # the failed term is computed again, then the four after it
     (entry,) = sequences._pairs.values()
     assert entry.shape is not None and len(entry.terms) == n + 1
-    entry = fresh_generator_lists(monkeypatch)[SeqKind.FIB]
-    n = len(entry.terms) + 5
+    built = fresh_generator_memo(monkeypatch)
     with monkeypatch.context() as patch:
         build, calls = failing_once(sequences._build, 2)
         patch.setattr(sequences, "_build", build)
+        kept = fib_poly(7)
         with pytest.raises(RuntimeError, match="interrupted"):
-            fib_poly(n)
-        assert fib_poly(n).terms == poly_fib(n)
-    assert len(calls) == 2 + 5 and len(entry.terms) == n + 1
-    # a bound the list already fills: the first build stops the list, the second is past it
-    monkeypatch.setattr(sequences, "_TERMS_BYTES", 2 * entry.size)
+            fib_poly(8)
+        assert fib_poly(8).terms == poly_fib(8)
+        assert fib_poly(7) is kept and kept.terms == poly_fib(7)
+    assert len(calls) == 3 and sorted(n for _, n in built) == [0, 0, 1, 1, 7, 8]
+    assert sequences._built_size == built_size(built)
+    # a bound the memo already fills: the build is returned and not kept
+    monkeypatch.setattr(sequences, "_TERMS_BYTES", sequences._built_size)
     with monkeypatch.context() as patch:
-        build, calls = failing_once(sequences._build, 2)
+        build, calls = failing_once(sequences._build, 1)
         patch.setattr(sequences, "_build", build)
         with pytest.raises(RuntimeError, match="interrupted"):
-            fib_poly(n + 3)
-        assert fib_poly(n + 3).terms == poly_fib(n + 3)
-    assert len(calls) == 3 and entry.full and len(entry.terms) == n + 1 and entry.walk is None
-    assert entry.size == stored_size(entry)
+            fib_poly(9)
+        assert fib_poly(9).terms == poly_fib(9)
+    assert len(calls) == 2 and (SeqKind.FIB, 9) not in built
+    assert sequences._built_size == built_size(built)
 
 
 def test_interrupted_ring_fill_recovers(monkeypatch):
@@ -179,7 +188,8 @@ def counting(patch, *names):
 def test_the_generator_pair_has_one_table(monkeypatch):
     steps = counting(monkeypatch, "_next_term", "_packed_next_term")
     builds = counting(monkeypatch, "_build")
-    top = len(fresh_generator_lists(monkeypatch)[SeqKind.FIB].terms) + 19
+    fresh_generator_memo(monkeypatch)
+    top = 21
     for n in range(top + 1):
         value = fib_poly(n)
         assert fib(n) is value
@@ -192,17 +202,34 @@ def test_the_generator_pair_has_one_table(monkeypatch):
 
 
 def test_the_generator_pair_builds_past_its_table(monkeypatch):
-    # the list stops at a size bound: past it L(x, y) builds each term it is
+    # the memo stops at a size bound: past it L(x, y) builds each term it is
     # asked for and keeps none of them, nor a walk
-    entry = fresh_generator_lists(monkeypatch)[SeqKind.LUC]
+    built = fresh_generator_memo(monkeypatch)
     monkeypatch.setattr(sequences, "_TERMS_BYTES", 40_000)
     steps = counting(monkeypatch, "_next_term", "_packed_next_term")
+    builds = counting(monkeypatch, "_build")
     for n in range(100, -1, -1):
         assert luc(n).terms == poly_luc(n)
-    top = len(entry.terms) - 1
-    assert entry.full and 2 < top < 90 and entry.walk is None and steps == []
-    assert entry.size == stored_size(entry) and 2 * entry.size <= 40_000
-    assert luc(top) is entry.terms[top]
+    assert len(builds) == 99 and steps == []  # L_2 .. L_100 once each, past the seeds
+    kept = {n for kind, n in built if kind is SeqKind.LUC}
+    assert 2 < len(kept) < 90 and 100 in kept
+    assert sequences._built_size == built_size(built) <= 40_000
+    assert luc(100) is built[SeqKind.LUC, 100] and len(builds) == 99
+    # a term that did not fit is built again on each read, and still not kept
+    lost = max(set(range(101)) - kept)
+    assert luc(lost).terms == poly_luc(lost) and len(builds) == 100
+    assert (SeqKind.LUC, lost) not in built
+
+
+def test_a_read_builds_its_term_alone(monkeypatch):
+    # a memo that filled a list to its read kept F_2 .. F_298 that
+    # seq(FIB, 2000) never reads
+    built = fresh_generator_memo(monkeypatch)
+    builds = counting(monkeypatch, "_build")
+    value = seq(SeqKind.FIB, 2000)
+    assert len(builds) == 1 and value.terms[(1999, 0)] == 1
+    assert set(built) == {(kind, m) for kind in SeqKind for m in (0, 1)} | {(SeqKind.FIB, 2000)}
+    assert built[SeqKind.FIB, 2000] is value and sequences._built_size == built_size(built)
 
 
 def test_terms_are_computed_only_when_requested():
@@ -266,26 +293,52 @@ def test_any_run_of_requests_gives_the_generator_terms(requests):
         assert _types(value) == _types(expected)
 
 
+_GENERATOR = next(i for i, (x_arg, y_arg) in enumerate(_PAIRS) if x_arg is X and y_arg is Y)
+
+
 @given(
     st.lists(_REQUEST, min_size=20, max_size=80),
     st.integers(0, 8000),
     st.integers(0, 30_000),
 )
+# F_40(x, y) fits the memo at this bound and L_40(x, y) does not
+@example([(kind, 40, _GENERATOR) for kind in SeqKind] * 2, 3200, 0)
 def test_requests_across_the_size_bounds_give_the_generator_terms(
     requests, terms_bytes, pairs_bytes
 ):
-    # bounds this small put most lists past their bound within 40 indices,
-    # and make the pairs give up their lists and their entries
+    # bounds this small put most lists and the memo past their bound within
+    # 40 indices, and make the pairs give up their lists and their entries
     with pytest.MonkeyPatch.context() as patch:
-        small_bounds(patch, terms_bytes, pairs_bytes)
+        built = small_bounds(patch, terms_bytes, pairs_bytes)
         patch.setattr(sequences, "_WALKS_MAX", 5)
+        builds = []
+
+        def build(kind, n, real=sequences._build):
+            builds.append((kind, n))
+            return real(kind, n)
+
+        patch.setattr(sequences, "_build", build)
         for kind, n, i in requests:
+            kept, kept_size, before = built.get((kind, n)), sequences._built_size, len(builds)
             value = seq(kind, n, *_PAIRS[i])
             expected = _TERMS[kind, i][n]
             assert value == expected
             assert _types(value) == _types(expected)
+            if i != _GENERATOR:
+                assert len(builds) == before
+            elif kept is not None:
+                # a kept term is read, never built again
+                assert value is kept and len(builds) == before
+            else:
+                # a missing one is built once, and kept only while the memo fits the bound
+                assert builds[before:] == [(kind, n)]
+                fits = kept_size + sequences._size(value) <= terms_bytes
+                assert (built.get((kind, n)) is value) is fits
+                assert sequences._built_size == kept_size + fits * sequences._size(value)
+        assert sequences._built_size == built_size(built)
+        assert sequences._built_size <= terms_bytes or len(built) == 4
         pairs = list(sequences._pairs.values())
-        for entry in [*sequences._generator.values(), *pairs]:
+        for entry in pairs:
             seeds_alone = len(entry.terms) == 2
             assert entry.size == stored_size(entry)
             assert entry.size <= terms_bytes or seeds_alone
@@ -315,10 +368,10 @@ def _recurrence_term(kind, n):
 )
 @example([(SeqKind.FIB, 0), (SeqKind.FIB, 1), (SeqKind.LUC, 0), (SeqKind.LUC, 1)], 0)
 def test_direct_builds_give_the_recurrence_terms(requests, terms_bytes):
-    # bounds this small stop the generator pair's lists within about 60
-    # indices, so reads land both in the lists and past them
+    # bounds this small keep few of the generator pair's terms, so reads land
+    # both in its memo and past it
     with pytest.MonkeyPatch.context() as patch:
-        small_bounds(patch, terms_bytes)
+        built = small_bounds(patch, terms_bytes)
         steps = counting(patch, "_next_term", "_packed_next_term")
         for kind, n in requests:
             expected = _recurrence_term(kind, n)  # seq_terms steps through sequences
@@ -327,9 +380,8 @@ def test_direct_builds_give_the_recurrence_terms(requests, terms_bytes):
             assert steps == []
             assert value == expected
             assert _types(value) == _types(expected)
-        for entry in sequences._generator.values():
-            assert entry.walk is None and entry.size == stored_size(entry)
-            assert 2 * entry.size <= terms_bytes or len(entry.terms) == 2
+        assert sequences._built_size == built_size(built)
+        assert sequences._built_size <= terms_bytes or len(built) == 4
 
 
 # -- lists filled on packed ints ------------------------------------------------
@@ -444,7 +496,7 @@ def test_past_the_bound_a_request_steps_on_from_the_closest_kept_terms(monkeypat
     assert seq(SeqKind.FIB, 200, one, 1) == fibs[200]
     (entry,) = sequences._pairs.values()
     top = len(entry.terms) - 1
-    assert 2 < top < 200 and entry.full
+    assert 2 < top < 200 and entry.walk is not None
     # from the list top below the walk, and from the walk at or past it
     for n, from_index in [(top + 3, top), (top + 5, top + 3), (top + 4, top + 4), (top + 1, top)]:
         steps.clear()
@@ -453,18 +505,20 @@ def test_past_the_bound_a_request_steps_on_from_the_closest_kept_terms(monkeypat
 
 
 def test_the_full_generator_list_builds_past_its_top(monkeypatch):
-    entry = fresh_generator_lists(monkeypatch)[SeqKind.FIB]
-    while not entry.full:
-        seq(SeqKind.FIB, len(entry.terms))
-    top = len(entry.terms) - 1
+    built = fresh_generator_memo(monkeypatch)
+    top = 2
+    while seq(SeqKind.FIB, top) is built.get((SeqKind.FIB, top)):
+        top += 1
+    top -= 1
     assert top > 200  # past every index the default catalog grid reads
     steps = counting(monkeypatch, "_next_term", "_packed_next_term")
     builds = counting(monkeypatch, "_build")
     assert seq(SeqKind.FIB, top + 20).terms == poly_fib(top + 20)
     assert seq(SeqKind.FIB, top + 1).terms == poly_fib(top + 1)
-    # one build each, not a step from F_top or from the seeds, and nothing kept
-    assert len(builds) == 2 and steps == []
-    assert len(entry.terms) == top + 1 and entry.walk is None
+    assert seq(SeqKind.FIB, top + 1).terms == poly_fib(top + 1)
+    # one build each read, not a step from F_top or from the seeds, and nothing kept
+    assert len(builds) == 3 and steps == []
+    assert len(built) == 2 + top + 1 and sequences._built_size == built_size(built)
 
 
 def test_long_walks_keep_at_most_the_bound(monkeypatch):
