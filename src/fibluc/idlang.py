@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .poly import BivarPoly, DELTA, QuadExtElem, X, Y, ZERO
+from .poly import BivarPoly, DELTA, QuadExtElem, X, Y, ZERO, _grow_powers
 from .report import CheckReport, DomainError, check_cell
 from .sequences import SeqKind, binomial, seq
 
@@ -99,7 +99,9 @@ class _SumEnv(dict):
 
     A body's powers of a base that does not vary with ``var`` mostly run
     over consecutive exponents, so building them upward costs one product
-    each, where each power alone costs about log2(e) + popcount(e).
+    each, where each power alone costs about log2(e) + popcount(e).  An int
+    or a monomial takes no table: each power alone is one power of its
+    coefficient, while a table of 2^0 .. 2^e would hold about e^2/2 bits.
     """
 
     __slots__ = ("var", "limit", "tables")
@@ -219,7 +221,7 @@ class Pow(Node):
     Inside a sum, a base that does not depend on the sum's variable is
     evaluated once, and when it is a ``QuadExtElem`` or a polynomial of two or
     more terms, its powers up to the sum's limit come from one table that
-    grows by one product with the base per step (see :class:`_SumEnv`).
+    grows by one product with the base per power (see :class:`_SumEnv`).
     Every other power is ``base ** exponent``.
     """
 
@@ -236,20 +238,18 @@ class Pow(Node):
             if powers is None:
                 powers = tables[id(self)] = self._powers(env)
             if powers:
-                while len(powers) <= exponent:
-                    powers.append(powers[-1] * powers[1])
-                return powers[exponent]
+                return _grow_powers(powers[1], exponent, powers)[exponent]
         return self.base._eval(env) ** exponent
 
     def _powers(self, env: _SumEnv) -> list:
         """``[base^0, base]`` to start this node's table in ``env``'s sum, or
-        ``[]`` where the base depends on the sum's variable or gains nothing
-        from a table (an int, a monomial)."""
+        ``[]`` where the base depends on the sum's variable or takes no table
+        (an int, a monomial)."""
         if env.var in self.base._free(()):
             return []
         base = self.base._eval(env)
         if isinstance(base, QuadExtElem) or isinstance(base, BivarPoly) and len(base._terms) > 1:
-            return [base**0, base]
+            return _grow_powers(base, 1)
         return []
 
     def _free(self, bound: tuple[str, ...]) -> set[str]:

@@ -187,8 +187,8 @@ class BivarPoly(_Ring):
         rationals; the result lives in whatever ring they generate, also for
         the zero polynomial.
         """
-        x_powers = _power_table(x_value, max((i for i, _ in self._terms), default=0))
-        y_powers = _power_table(y_value, max((j for _, j in self._terms), default=0))
+        x_powers = _grow_powers(x_value, max((i for i, _ in self._terms), default=0))
+        y_powers = _grow_powers(y_value, max((j for _, j in self._terms), default=0))
         total = x_powers[0] * y_powers[0] * 0
         for (i, j), coeff in self._terms.items():
             total = total + x_powers[i] * y_powers[j] * coeff
@@ -337,9 +337,11 @@ def binary_power(base, exponent: int, one):
     return one if result is None else result
 
 
-def _power_table(value, top: int) -> list:
-    powers = [value**0]
-    for _ in range(top):
+def _grow_powers(value, top: int, powers: list | None = None) -> list:
+    """``[value^0, value, ...]`` through value^top (value^1 at least), by one
+    product per power: ``powers``, such a list, grown in place, or a new one."""
+    powers = [value**0, value] if powers is None else powers
+    while len(powers) <= top:
         powers.append(powers[-1] * value)
     return powers
 

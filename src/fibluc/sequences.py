@@ -10,15 +10,17 @@ values, and plain integer or rational specializations.
 
 :func:`seq` returns every F and L value the package uses.  The generator
 pair (x, y) builds each term it is asked for from its binomial coefficients
-(:func:`_build`) and keeps the terms read, of both kinds, while they fit a
-size bound.  Any other pair keeps, per kind, the terms it has computed up to
-that bound: the list u_0 .. u_t while it fits half the bound, and the last two
-terms of its latest walk.  A request at or below t reads the list; a higher
-one steps on from the walk or from u_t, not from the seeds.  The 64 pairs used
-most recently keep theirs, and past a total size budget the least recently
-used give up their lists.  One lock guards the whole store and a call steps
-its entry in place while holding it, so everything here is safe to invoke
-concurrently, and one long walk holds up the other threads' calls.
+(:func:`_build`) and keeps the terms read, of both kinds, within a size
+bound: past it the highest indices go first, so the lowest indices read stay,
+whatever order they came in.  Any other pair keeps, per kind, the terms it
+has computed up to that bound: the list u_0 .. u_t while it fits half the
+bound, and the last two terms of its latest walk.  A request at or below t
+reads the list; a higher one steps on from the walk or from u_t, not from
+the seeds.  The 64 pairs used most recently keep theirs, and past a total
+size budget the least recently used give up their lists.  One lock guards
+the whole store and a call steps its entry in place while holding it, so
+everything here is safe to invoke concurrently, and one long walk holds up
+the other threads' calls.
 
 Where every term is a weighted-homogeneous int polynomial, the list of any
 other pair fills on Kronecker-packed ints (see :func:`_shape` for which).  With
@@ -85,10 +87,10 @@ def seq_terms(kind: SeqKind, x_arg=X, y_arg=Y) -> Iterator:
 _MONOMIAL_BYTES = 128
 #: Estimated bytes each kind keeps for one pair other than (x, y): its list
 #: fills half of it, so that of F(1, 1) reaches F_7170 and every list of the
-#: ``composed`` grid stays whole.  F(x, y) and L(x, y) keep the terms read
-#: within all of it together, F_0 .. F_415 alone (F_0 .. F_640 is 16.8 MB):
-#: ``eval F 2000`` and ``eval F 100000 --at 1,1`` take max RSS 17.6 and
-#: 18.7 MB, against 17.6 and 16.5 MB with no list at all.
+#: ``composed`` grid stays whole.  F(x, y) and L(x, y) keep their lowest
+#: indices read within all of it together, F_0 .. F_415 alone (F_0 .. F_640
+#: is 16.8 MB): ``eval F 2000`` and ``eval F 100000 --at 1,1`` take max RSS
+#: 18.3 and 18.7 MB, against 18.4 and 17.2 MB with the bound at 0.
 _TERMS_BYTES = 6 << 20
 #: Estimated bytes of the entries of all pairs other than (x, y) together.
 #: Past it the least recently used give up their lists but keep their walks:
@@ -339,7 +341,7 @@ def _types(value):
 
 
 _lock = threading.Lock()
-# (kind, n) -> u_n(x, y), for the seeds and every term read that fits _TERMS_BYTES
+# (kind, n) -> u_n(x, y), for the seeds and the lowest indices read within _TERMS_BYTES
 _built = {(kind, m): u for kind in SeqKind for m, u in enumerate(_seeds(kind, X))}
 # the sum of the sizes of the terms in _built
 _built_size = sum(map(_size, _built.values()))
@@ -354,9 +356,12 @@ def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
 
     The values and coefficient types are those of :func:`seq_terms`.  The
     generator pair itself (``x_arg is X and y_arg is Y``) reads ``_built``;
-    a term missing there is built by :func:`_build`, and kept for the life
-    of the process while ``_built`` fits ``_TERMS_BYTES``, so every read of
-    a kept term returns one object.  ``seq(FIB, 2000)`` builds F_2000 alone.
+    a term missing there is built by :func:`_build` and kept.  While
+    ``_built`` is over ``_TERMS_BYTES``, its term of highest index goes (of
+    F_m and L_m, the later kept), though never a seed (``_build(LUC, 0)``
+    would give 1), so a term too large to keep is returned and dropped at
+    once.  Every read of a kept term returns one object.
+    ``seq(FIB, 2000)`` builds F_2000 alone.
 
     Any other pair has a :class:`_Terms` entry per kind, as the module
     docstring describes, keyed by the kind and the argument pair with their
@@ -374,10 +379,12 @@ def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
         if x_arg is X and y_arg is Y:
             term = _built.get((kind, n))
             if term is None:
-                term = _build(kind, n)
-                if (size := _built_size + _size(term)) <= _TERMS_BYTES:
-                    _built[kind, n] = term
-                    _built_size = size
+                term = _built[kind, n] = _build(kind, n)
+                _built_size += _size(term)
+                # past the seeds, u_0 and u_1 of each kind: they hold the lowest
+                # indices, so the highest-index drop reaches them last
+                while _built_size > _TERMS_BYTES and len(_built) > 2 * len(SeqKind):
+                    _built_size -= _size(_built.pop(max(reversed(_built), key=lambda key: key[1])))
             return term
         key = (kind, _types(x_arg), x_arg, _types(y_arg), y_arg)
         entry = _pairs.pop(key, None)

@@ -25,6 +25,7 @@ from fibluc import (
     parse_expression,
     render,
 )
+from fibluc import idlang
 from fibluc.idlang import (
     Add,
     Binom,
@@ -472,6 +473,9 @@ def test_a_sum_with_power_tables_equals_its_terms_evaluated_alone(node, n, k):
     [
         "sum(r=0..n, 2^(n-r))",  # an int base
         "sum(r=0..n, (-y)^r)",  # a monomial base
+        "sum(r=0..6, (-y)^r * x^(12-2*r))",  # monomial bases, one of them read downward
+        "sum(r=0..5, 2^r * (-1)^r)",  # int bases
+        "sum(r=0..4, (2*x)^(2*r))",  # a monomial base read at even exponents
         "sum(r=0..n-1, (x^2+4*y)^(n-1-r))",  # a base of two or more terms
         "sum(r=0..n, (x+D)^r)",  # a QuadExtElem base
         "sum(r=1..n, (x+F[r])^2)",  # a base that depends on the sum variable
@@ -482,6 +486,30 @@ def test_a_sum_with_power_tables_equals_its_terms_evaluated_alone(node, n, k):
 )
 def test_power_tables_change_no_sum(source):
     _assert_tables_change_nothing(parse_expression(source), {"n": 4})
+
+
+@pytest.mark.parametrize(
+    "source, tabled",
+    [
+        ("sum(r=0..n, 2^r)", False),  # an int base
+        ("sum(r=0..n, (2*x)^r)", False),  # a monomial base
+        ("sum(r=0..n, (x+y)^r)", True),  # a base of two terms
+        ("sum(r=0..n, (x+D)^r)", True),  # a QuadExtElem base
+    ],
+)
+def test_ints_and_monomials_take_no_power_table(monkeypatch, source, tabled):
+    # a table of 2^0 .. 2^e would hold about e^2/2 bits, where each power
+    # alone costs one power of an int
+    grown = []
+    real = idlang._grow_powers
+
+    def grow(value, *args):
+        grown.append(value)
+        return real(value, *args)
+
+    monkeypatch.setattr(idlang, "_grow_powers", grow)
+    evaluate(parse_expression(source), {"n": 4})
+    assert bool(grown) is tabled
 
 
 # -- corpus --------------------------------------------------------------------------

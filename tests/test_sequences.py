@@ -36,7 +36,7 @@ from fibluc import (
     seq,
     seq_terms,
 )
-from fibluc import evaluate, identities, parse_expression, sequences
+from fibluc import cli, evaluate, identities, parse_expression, sequences
 from fibluc._seqcache import fib_poly, luc_poly
 from oracles import int_seq, poly_fib, poly_luc
 
@@ -202,8 +202,9 @@ def test_the_generator_pair_has_one_table(monkeypatch):
 
 
 def test_the_generator_pair_builds_past_its_table(monkeypatch):
-    # the memo stops at a size bound: past it L(x, y) builds each term it is
-    # asked for and keeps none of them, nor a walk
+    # the memo keeps its lowest indices within a size bound: read downward,
+    # L(x, y) builds each term once and drops the highest kept past the
+    # bound, and it never walks
     built = fresh_generator_memo(monkeypatch)
     monkeypatch.setattr(sequences, "_TERMS_BYTES", 40_000)
     steps = counting(monkeypatch, "_next_term", "_packed_next_term")
@@ -212,13 +213,14 @@ def test_the_generator_pair_builds_past_its_table(monkeypatch):
         assert luc(n).terms == poly_luc(n)
     assert len(builds) == 99 and steps == []  # L_2 .. L_100 once each, past the seeds
     kept = {n for kind, n in built if kind is SeqKind.LUC}
-    assert 2 < len(kept) < 90 and 100 in kept
+    top = max(kept)
+    assert kept == set(range(top + 1)) and 2 < top < 90
     assert sequences._built_size == built_size(built) <= 40_000
-    assert luc(100) is built[SeqKind.LUC, 100] and len(builds) == 99
-    # a term that did not fit is built again on each read, and still not kept
-    lost = max(set(range(101)) - kept)
-    assert luc(lost).terms == poly_luc(lost) and len(builds) == 100
-    assert (SeqKind.LUC, lost) not in built
+    assert luc(top) is built[SeqKind.LUC, top] and len(builds) == 99
+    # the next index does not fit with them: it is built again on each read,
+    # and dropped again, not a lower term
+    assert luc(top + 1).terms == poly_luc(top + 1) and len(builds) == 100
+    assert {n for kind, n in built if kind is SeqKind.LUC} == kept
 
 
 def test_a_read_builds_its_term_alone(monkeypatch):
@@ -230,6 +232,17 @@ def test_a_read_builds_its_term_alone(monkeypatch):
     assert len(builds) == 1 and value.terms[(1999, 0)] == 1
     assert set(built) == {(kind, m) for kind in SeqKind for m in (0, 1)} | {(SeqKind.FIB, 2000)}
     assert built[SeqKind.FIB, 2000] is value and sequences._built_size == built_size(built)
+
+
+def test_large_terms_read_first_do_not_pin_the_memo(monkeypatch):
+    # F_7000 .. F_1050 fill the memo past its bound; a catalog pass after
+    # them must push them out, not build its 146 distinct terms on each read
+    fresh_generator_memo(monkeypatch)
+    for n in range(7000, 1000, -50):
+        seq(SeqKind.FIB, n)
+    builds = counting(monkeypatch, "_build")
+    assert cli.main(["catalog", "--n-max", "10", "--k-max", "6"]) == 0
+    assert len(builds) <= 160
 
 
 def test_terms_are_computed_only_when_requested():
@@ -301,7 +314,8 @@ _GENERATOR = next(i for i, (x_arg, y_arg) in enumerate(_PAIRS) if x_arg is X and
     st.integers(0, 8000),
     st.integers(0, 30_000),
 )
-# F_40(x, y) fits the memo at this bound and L_40(x, y) does not
+# F_40(x, y) and L_40(x, y) each fit the memo at this bound but not together,
+# so the first read of L_40 drops one of them
 @example([(kind, 40, _GENERATOR) for kind in SeqKind] * 2, 3200, 0)
 def test_requests_across_the_size_bounds_give_the_generator_terms(
     requests, terms_bytes, pairs_bytes
@@ -318,8 +332,10 @@ def test_requests_across_the_size_bounds_give_the_generator_terms(
             return real(kind, n)
 
         patch.setattr(sequences, "_build", build)
+        seeds = {(kind, m) for kind in SeqKind for m in (0, 1)}
         for kind, n, i in requests:
             kept, kept_size, before = built.get((kind, n)), sequences._built_size, len(builds)
+            keys = set(built)
             value = seq(kind, n, *_PAIRS[i])
             expected = _TERMS[kind, i][n]
             assert value == expected
@@ -330,11 +346,17 @@ def test_requests_across_the_size_bounds_give_the_generator_terms(
                 # a kept term is read, never built again
                 assert value is kept and len(builds) == before
             else:
-                # a missing one is built once, and kept only while the memo fits the bound
+                # a missing one is built once and kept; only past the bound
+                # does the memo drop terms, the highest indices first, never a seed
                 assert builds[before:] == [(kind, n)]
-                fits = kept_size + sequences._size(value) <= terms_bytes
-                assert (built.get((kind, n)) is value) is fits
-                assert sequences._built_size == kept_size + fits * sequences._size(value)
+                dropped = (keys | {(kind, n)}) - set(built)
+                assert (built.get((kind, n)) is value) is ((kind, n) not in dropped)
+                highest_kept = max(m for _, m in built)
+                assert all(m >= highest_kept for _, m in dropped)
+                assert seeds <= set(built)
+                assert not dropped or kept_size + sequences._size(value) > terms_bytes
+                assert sequences._built_size == built_size(built)
+                assert sequences._built_size <= terms_bytes or set(built) == seeds
         assert sequences._built_size == built_size(built)
         assert sequences._built_size <= terms_bytes or len(built) == 4
         pairs = list(sequences._pairs.values())
