@@ -29,6 +29,7 @@ Parsing and evaluation are pure; ASTs are immutable.  Each node kind's rules
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 import operator
 import re
 import sys
@@ -46,9 +47,9 @@ META_VARS = {"n", "k"}
 #: Deepest expression the parser accepts, as nesting of sub-expressions (the
 #: whole expression is level 1; each parenthesized group, bracketed index,
 #: argument or sum body is one more) and as AST height (a leaf is 1).  The
-#: parser takes four stack frames per parenthesized group in an index, five
-#: per other parenthesized group and six per bracketed index, argument or sum
-#: body (at most about 600 at this depth), the renderer two per level of height
+#: parser takes three stack frames per parenthesized group in an index, four
+#: per other parenthesized group and five per bracketed index, argument or sum
+#: body (at most about 500 at this depth), the renderer two per level of height
 #: (``_render`` and the node's ``_text``: about 200) and the evaluator one; a
 #: domain error renders its node from inside the evaluator, which stays near
 #: 200.  So every input stays well inside Python's default recursion limit of
@@ -315,6 +316,10 @@ class Sum(Node):
         )
 
 
+#: Each sequence kind by its letter, without Enum's lookup by value.
+_SEQ_KINDS = {kind.value: kind for kind in SeqKind}
+
+
 @dataclass(frozen=True)
 class SeqApp(Node):
     kind: str  # "F" or "L"
@@ -324,7 +329,7 @@ class SeqApp(Node):
     def _eval(self, env: Mapping[str, int]):
         index = _eval_index(self.index, env, self, "sequence index")
         args = () if self.args is None else (self.args[0]._eval(env), self.args[1]._eval(env))
-        return seq(SeqKind(self.kind), index, *args)
+        return seq(_SEQ_KINDS[self.kind], index, *args)
 
     def _free(self, bound: tuple[str, ...]) -> set[str]:
         names = self.index._free(bound)
@@ -360,26 +365,35 @@ class Eq(Node):
 
 #: One token per match: an integer, a name, a punctuation mark (``..`` or one
 #: character) or, as an error, any other character that is not whitespace.
-_TOKEN = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)|(\.\.|[-+*^()\[\],=])|(\S)")
-_GROUP_KINDS = (None, "INT", "NAME")
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|\.\.|[-+*^()\[\],=]|\S")
+#: A token's kind by its text (a punctuation mark) or else by its first
+#: character (INT or NAME); a text found in neither is an unexpected character.
+_KINDS = {mark: mark for mark in ("..", *"-+*^()[],=")} | dict.fromkeys("0123456789", "INT")
+_KINDS |= dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "NAME")
 
 
-def _position(source: str, pos: int) -> tuple[int, int]:
-    """1-based line and column of the offset ``pos`` in ``source``."""
+def _offset(source: str, i: int) -> int:
+    """Offset in ``source`` of the token with index ``i``; the EOF token's is
+    the length of ``source``.  Tokens keep no offsets: only an error needs one."""
+    match = next(itertools.islice(_TOKEN.finditer(source), i, None), None)
+    return len(source) if match is None else match.start()
+
+
+def _position(source: str, i: int) -> tuple[int, int]:
+    """1-based line and column in ``source`` of the token with index ``i``."""
+    pos = _offset(source, i)
     return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
 
 
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    """``(kind, text, offset)`` for each token, then an EOF token; a kind is
-    INT, NAME, EOF or the punctuation mark itself."""
-    tokens = []
-    for match in _TOKEN.finditer(source):
-        group, text = match.lastindex, match[0]
-        if group == 4:
-            raise ParseError(f"unexpected character {text!r}", *_position(source, match.start()))
-        tokens.append((text if group == 3 else _GROUP_KINDS[group], text, match.start()))
-    tokens.append(("EOF", "", len(source)))
-    return tokens
+def _tokenize(source: str) -> tuple[list[str], list[str]]:
+    """The kind and the text of each token, then of an EOF token, as two
+    lists; a kind is INT, NAME, EOF or the punctuation mark itself."""
+    texts = _TOKEN.findall(source)
+    kinds = [_KINDS.get(text) or _KINDS.get(text[0]) for text in texts]
+    if None in kinds:
+        i = kinds.index(None)
+        raise ParseError(f"unexpected character {texts[i]!r}", *_position(source, i))
+    return kinds + ["EOF"], texts + [""]
 
 
 # -- parser ---------------------------------------------------------------------
@@ -387,22 +401,35 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 _ADD_OPS = {"+": Add, "-": Sub}
 
 
+class _Leaves(dict):
+    """One parse's leaves (IntLit, MetaVar, VarX, VarY, VarDelta) by the text
+    of the token that spells them, each built at its first use.  The parser
+    looks a meta-variable up only once its name is known to be in scope."""
+
+    def __missing__(self, text: str) -> Node:
+        cls = _SYMBOLS.get(text)
+        leaf = self[text] = cls() if cls else IntLit(int(text)) if text.isdigit() else MetaVar(text)
+        return leaf
+
+
 class _Parser:
     def __init__(self, source: str) -> None:
         self._source = source
-        # the token at index i is (_kinds[i], _texts[i], _offsets[i])
-        self._kinds, self._texts, self._offsets = zip(*_tokenize(source))
+        # the token at index i has kind _kinds[i] and text _texts[i]
+        self._kinds, self._texts = _tokenize(source)
         self._pos = 0
         self._scope: list[str] = []
         self._nesting = 0
+        self._leaves = _Leaves()
         # AST heights by node id; ids stay unique because every node built
-        # is held by the tree until the parse ends
-        self._heights: dict[int, int] = {}
+        # is held by the tree until the parse ends.  Every node owns a token
+        # of its own, so a tree is no taller than its count of tokens: an
+        # input of at most MAX_DEPTH tokens, EOF included, needs no heights.
+        self._heights: dict[int, int] | None = None if len(self._kinds) <= MAX_DEPTH else {}
 
     def _error(self, message: str, at: int | None = None) -> ParseError:
         """An error at the token with index ``at``, by default the next one."""
-        offset = self._offsets[self._pos if at is None else at]
-        return ParseError(message, *_position(self._source, offset))
+        return ParseError(message, *_position(self._source, self._pos if at is None else at))
 
     def _shown(self) -> str:
         """The next token as an error message shows it."""
@@ -428,11 +455,10 @@ class _Parser:
         than MAX_DEPTH.  A SeqApp's argument pair counts as two children;
         fields that are not nodes count as leaves."""
         heights = self._heights
-        tallest_child = 1
-        for child in fields + fields[2] if cls is SeqApp and fields[2] else fields:
-            height = heights.get(id(child), 1)
-            if height > tallest_child:
-                tallest_child = height
+        if heights is None:
+            return cls(*fields)
+        children = fields + fields[2] if cls is SeqApp and fields[2] else fields
+        tallest_child = max(heights.get(id(child), 1) for child in children)
         if tallest_child >= MAX_DEPTH:
             raise self._error(_TOO_DEEP)
         node = cls(*fields)
@@ -471,18 +497,19 @@ class _Parser:
         return node
 
     def _term(self, operand: Callable[[], Node]) -> Node:
-        node = self._unary(operand)
+        """Factors joined by ``*``, each one negated by a ``-`` before it."""
         kinds = self._kinds
-        while kinds[self._pos] == "*":
+        node = None
+        while True:
+            if kinds[self._pos] == "-":
+                self._pos += 1
+                factor = self._build(Neg, operand())
+            else:
+                factor = operand()
+            node = factor if node is None else self._build(Mul, node, factor)
+            if kinds[self._pos] != "*":
+                return node
             self._pos += 1
-            node = self._build(Mul, node, self._unary(operand))
-        return node
-
-    def _unary(self, operand: Callable[[], Node]) -> Node:
-        if self._kinds[self._pos] == "-":
-            self._pos += 1
-            return self._build(Neg, operand())
-        return operand()
 
     def _factor(self) -> Node:
         node = self._base()
@@ -499,7 +526,7 @@ class _Parser:
             self._pos = pos + 1
             name = self._texts[pos]
             if name in _SYMBOLS:
-                return _SYMBOLS[name]()
+                return self._leaves[name]
             if name in ("F", "L"):
                 return self._seqapp(name, pos)
             if name == "binom":
@@ -509,7 +536,7 @@ class _Parser:
             return self._index_name(pos)
         if kind == "INT":
             self._pos = pos + 1
-            return IntLit(int(self._texts[pos]))
+            return self._leaves[self._texts[pos]]
         if kind == "(":
             self._pos = pos + 1
             inner = self._expr()
@@ -557,17 +584,15 @@ class _Parser:
         high = self._expr(self._ixatom)
         self._expect(",")
         self._scope.append(var)
-        try:
-            body = self._expr()
-        finally:
-            self._scope.pop()
+        body = self._expr()
+        self._scope.pop()
         self._expect(")")
         return self._build(Sum, var, low, high, body)
 
     def _index_name(self, at: int) -> MetaVar:
         name = self._texts[at]
         if name in self._scope or name in META_VARS:
-            return MetaVar(name)
+            return self._leaves[name]
         raise self._error(f"unknown name '{name}'", at)
 
     def _ixatom(self, expected: str = "an index expression") -> Node:
@@ -575,7 +600,7 @@ class _Parser:
         kind = self._kinds[pos]
         if kind == "INT":
             self._pos = pos + 1
-            return IntLit(int(self._texts[pos]))
+            return self._leaves[self._texts[pos]]
         if kind == "NAME":
             self._pos = pos + 1
             return self._index_name(pos)

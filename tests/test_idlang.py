@@ -27,6 +27,7 @@ from fibluc import (
 )
 from fibluc import idlang
 from fibluc.idlang import (
+    MAX_DEPTH,
     Add,
     Binom,
     Eq,
@@ -42,6 +43,7 @@ from fibluc.idlang import (
     VarDelta,
     VarX,
     VarY,
+    _offset,
     _tokenize,
 )
 from oracles import poly_luc, tokenize
@@ -482,6 +484,7 @@ def test_a_sum_with_power_tables_equals_its_terms_evaluated_alone(node, n, k):
         "sum(r=0..n, sum(s=0..r, (x+F[r])^s))",  # an inner base that depends on the outer variable
         "sum(r=0..n, (x+y)^0)",  # exponent 0
         "sum(r=0..2, (x+y)^(40*r))",  # exponents past the table's limit
+        "sum(r=0..3, (x+y)^r * (x+y)^(3-r))",  # two tables whose nodes share leaves
     ],
 )
 def test_power_tables_change_no_sum(source):
@@ -510,6 +513,74 @@ def test_ints_and_monomials_take_no_power_table(monkeypatch, source, tabled):
     monkeypatch.setattr(idlang, "_grow_powers", grow)
     evaluate(parse_expression(source), {"n": 4})
     assert bool(grown) is tabled
+
+
+# -- the parser's shortcuts ------------------------------------------------------------
+
+
+def test_parse_shares_leaves_but_each_power_keeps_its_table(monkeypatch):
+    node = parse_expression("sum(r=0..3, (x+y)^r * (x+y)^(3-r))")
+    by_hand = Sum(
+        "r",
+        IntLit(0),
+        IntLit(3),
+        Mul(
+            Pow(Add(VarX(), VarY()), MetaVar("r")),
+            Pow(Add(VarX(), VarY()), Sub(IntLit(3), MetaVar("r"))),
+        ),
+    )
+    assert node == by_hand
+    first, second = node.body.left, node.body.right
+    assert first.base.left is second.base.left and first.base.right is second.base.right
+    assert first.exponent is second.exponent.right and node.high is second.exponent.left
+    assert first.base is not second.base
+    started = []
+    real = Pow._powers
+    monkeypatch.setattr(Pow, "_powers", lambda self, env: started.append(self) or real(self, env))
+    assert evaluate(node, {}) == 4 * (X + Y) ** 3
+    assert len(started) == 2 and started[0] is first and started[1] is second
+
+
+def _tree_size(node) -> int:
+    return sum(1 for _ in _nodes(node))
+
+
+def _token_count(source: str) -> int:
+    """Tokens in ``source``, EOF excluded."""
+    return len(_tokenize(source)[0]) - 1
+
+
+# every node owns a token of its own, which is why an input of at most
+# MAX_DEPTH tokens, EOF included, needs no height tracking
+@given(_expression_asts())
+@settings(max_examples=300)
+def test_a_parse_tree_has_no_more_nodes_than_its_source_has_tokens(expression):
+    source = render(expression)
+    assert _tree_size(parse_expression(source)) <= _token_count(source)
+
+
+def test_a_corpus_tree_has_no_more_nodes_than_its_line_has_tokens():
+    for entry in load_corpus():
+        assert _tree_size(entry.ast) <= _token_count(entry.source), entry.source
+
+
+def test_a_short_input_parses_with_no_height_tracking():
+    # 50 terms are 99 tokens: MAX_DEPTH with EOF
+    source = "+".join(["x"] * 50)
+    parser = idlang._Parser(source)
+    assert len(parser._kinds) == MAX_DEPTH and parser._heights is None
+    assert parser.parse_expression() == functools.reduce(Add, [VarX()] * 50)
+    assert idlang._Parser(source + "+x")._heights == {}
+
+
+def test_a_late_error_in_a_long_line_reports_the_reference_column():
+    source = "+".join(["x"] * 60) + " = )"
+    reference = tokenize(source)
+    assert len(reference) - 1 > MAX_DEPTH
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    found = (info.value.message, info.value.line, info.value.col)
+    assert found == ("expected an expression, found ')'", 1, reference[-2][2] + 1)
 
 
 # -- corpus --------------------------------------------------------------------------
@@ -542,6 +613,12 @@ def _tokens_or_error(tokenizer, source):
         return (exc.message, exc.line, exc.col)
 
 
+def _tokens_with_offsets(source):
+    """``_tokenize``'s tokens as ``(kind, text, offset)``, each offset found by ``_offset``."""
+    kinds, texts = _tokenize(source)
+    return [(kind, text, _offset(source, i)) for i, (kind, text) in enumerate(zip(kinds, texts))]
+
+
 # Unicode digits and whitespace, dots and every punctuation mark, among any
 # other characters: the tokenizer must treat each exactly as the reference does
 _TRICKY = [
@@ -553,7 +630,7 @@ _TRICKY = [
 @given(st.lists(st.one_of(st.sampled_from(_TRICKY), st.characters()), max_size=30).map("".join))
 @settings(max_examples=500)
 def test_tokenizer_matches_the_reference_character_loop(source):
-    assert _tokens_or_error(_tokenize, source) == _tokens_or_error(tokenize, source)
+    assert _tokens_or_error(_tokens_with_offsets, source) == _tokens_or_error(tokenize, source)
 
 
 @given(st.text(max_size=60))
