@@ -12,13 +12,12 @@ per-case minima keep all subscripts nonnegative.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
 from ._seqcache import fib_poly, luc_poly
 from .poly import BivarPoly, DELTA, DISCRIMINANT, QuadExtElem, X, Y, ZERO
-from .report import CellResult, CheckReport, DomainError, check_cell, select_ids
+from .report import CellResult, CheckReport, DomainError, check_cell, grid_axis, select_ids
 from .sequences import (
     PolyMatrix2,
     SeqKind,
@@ -371,14 +370,12 @@ def check_case(case: IdentityCase, n: int, k: int | None = None) -> CellResult:
 
 
 def check_grid_bounds(n_max: int, k_max: int) -> None:
-    """The grid upper bounds every catalog or corpus run needs: an axis
-    0..bound of more than ``sys.maxsize`` values, the most a list can hold,
-    is refused as well."""
+    """The grid upper bounds every catalog or corpus run needs: each at
+    least 1, and each axis 0..bound one that ``report.grid_axis`` accepts."""
     if n_max < 1 or k_max < 1:
         raise ValueError("n_max and k_max must be at least 1")
-    for name, bound in (("n_max", n_max), ("k_max", k_max)):
-        if bound >= sys.maxsize:
-            raise ValueError(f"{name} {bound}: axis 0..{bound} has more than {sys.maxsize} values")
+    grid_axis("n", 0, n_max)
+    grid_axis("k", 0, k_max)
 
 
 def run_catalog(

@@ -32,13 +32,12 @@ import importlib.resources
 import itertools
 import operator
 import re
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
 from .poly import BivarPoly, DELTA, QuadExtElem, X, Y, ZERO, _grow_powers
-from .report import CheckReport, DomainError, check_cell
+from .report import CheckReport, DomainError, check_cell, grid_axis
 from .sequences import SeqKind, binomial, seq
 
 _RESERVED = {"x", "y", "D", "F", "L", "binom", "sum"}
@@ -71,10 +70,10 @@ class ParseError(Exception):
 # -- AST ----------------------------------------------------------------------
 #
 # Each node kind states its rules in its class: ``_eval(env)`` is its exact
-# value (a plain int when no x, y, D or F/L occurs in it), ``_free(bound)`` the
-# meta-variables it depends on outside the names in ``bound``, and ``_text()``
-# its source text, in which ``_render`` parenthesizes each operand whose
-# precedence ``level`` is below what its position needs.
+# value (a plain int when no x, y, D or F/L occurs in it), ``_free()`` the
+# meta-variables it depends on (a sum takes its own variable out of its body's),
+# and ``_text()`` its source text, in which ``_render`` parenthesizes each
+# operand whose precedence ``level`` is below what its position needs.
 
 _LEVEL_EQ = 0
 _LEVEL_ADD = 1
@@ -89,7 +88,7 @@ class Node:
 
     level = _LEVEL_ATOM
 
-    def _free(self, bound: tuple[str, ...]) -> set[str]:
+    def _free(self) -> set[str]:
         return set()
 
 
@@ -162,8 +161,8 @@ class MetaVar(Node):
         except KeyError:
             raise DomainError(f"unbound meta-variable '{self.name}'") from None
 
-    def _free(self, bound: tuple[str, ...]) -> set[str]:
-        return set() if self.name in bound else {self.name}
+    def _free(self) -> set[str]:
+        return {self.name}
 
     def _text(self) -> str:
         return self.name
@@ -178,8 +177,8 @@ class Neg(Node):
     def _eval(self, env: Mapping[str, int]):
         return -self.operand._eval(env)
 
-    def _free(self, bound: tuple[str, ...]) -> set[str]:
-        return self.operand._free(bound)
+    def _free(self) -> set[str]:
+        return self.operand._free()
 
     def _text(self) -> str:
         return f"-{_render(self.operand, _LEVEL_POW)}"
@@ -195,8 +194,8 @@ class _Binary(Node):
     def _eval(self, env: Mapping[str, int]):
         return self._op(self.left._eval(env), self.right._eval(env))
 
-    def _free(self, bound: tuple[str, ...]) -> set[str]:
-        return self.left._free(bound) | self.right._free(bound)
+    def _free(self) -> set[str]:
+        return self.left._free() | self.right._free()
 
     def _text(self) -> str:
         left = _render(self.left, self.level)
@@ -246,15 +245,15 @@ class Pow(Node):
         """``[base^0, base]`` to start this node's table in ``env``'s sum, or
         ``[]`` where the base depends on the sum's variable or takes no table
         (an int, a monomial)."""
-        if env.var in self.base._free(()):
+        if env.var in self.base._free():
             return []
         base = self.base._eval(env)
         if isinstance(base, QuadExtElem) or isinstance(base, BivarPoly) and len(base._terms) > 1:
             return _grow_powers(base, 1)
         return []
 
-    def _free(self, bound: tuple[str, ...]) -> set[str]:
-        return self.base._free(bound) | self.exponent._free(bound)
+    def _free(self) -> set[str]:
+        return self.base._free() | self.exponent._free()
 
     def _text(self) -> str:
         exponent = self.exponent
@@ -274,8 +273,8 @@ class Binom(Node):
         upper = _eval_index(self.upper, env, self, "binomial index")
         return binomial(upper, _eval_index(self.lower, env))
 
-    def _free(self, bound: tuple[str, ...]) -> set[str]:
-        return self.upper._free(bound) | self.lower._free(bound)
+    def _free(self) -> set[str]:
+        return self.upper._free() | self.lower._free()
 
     def _text(self) -> str:
         return f"binom({_render(self.upper, _LEVEL_ADD)}, {_render(self.lower, _LEVEL_ADD)})"
@@ -305,9 +304,8 @@ class Sum(Node):
             total = total + self.body._eval(inner)
         return total
 
-    def _free(self, bound: tuple[str, ...]) -> set[str]:
-        names = self.low._free(bound) | self.high._free(bound)
-        return names | self.body._free(bound + (self.var,))
+    def _free(self) -> set[str]:
+        return self.low._free() | self.high._free() | (self.body._free() - {self.var})
 
     def _text(self) -> str:
         return (
@@ -331,10 +329,10 @@ class SeqApp(Node):
         args = () if self.args is None else (self.args[0]._eval(env), self.args[1]._eval(env))
         return seq(_SEQ_KINDS[self.kind], index, *args)
 
-    def _free(self, bound: tuple[str, ...]) -> set[str]:
-        names = self.index._free(bound)
+    def _free(self) -> set[str]:
+        names = self.index._free()
         if self.args is not None:
-            names |= self.args[0]._free(bound) | self.args[1]._free(bound)
+            names |= self.args[0]._free() | self.args[1]._free()
         return names
 
     def _text(self) -> str:
@@ -354,8 +352,8 @@ class Eq(Node):
     def _eval(self, env: Mapping[str, int]):
         raise ValueError("cannot evaluate an identity; evaluate one side")
 
-    def _free(self, bound: tuple[str, ...]) -> set[str]:
-        return self.lhs._free(bound) | self.rhs._free(bound)
+    def _free(self) -> set[str]:
+        return self.lhs._free() | self.rhs._free()
 
     def _text(self) -> str:
         return f"{_render(self.lhs, _LEVEL_ADD)} = {_render(self.rhs, _LEVEL_ADD)}"
@@ -657,7 +655,7 @@ def evaluate(node: Node, binding: Mapping[str, int]):
 
 def free_meta_vars(node: Node) -> set[str]:
     """Meta-variables the expression depends on (sum-bound names excluded)."""
-    return node._free(())
+    return node._free()
 
 
 def check(ast: Eq, ranges: Mapping[str, tuple[int, int]], case_id: str = "user") -> CheckReport:
@@ -666,9 +664,8 @@ def check(ast: Eq, ranges: Mapping[str, tuple[int, int]], case_id: str = "user")
     Equality is exact componentwise extension-ring equality.  A negative
     subscript, exponent or binomial upper index at some grid point is outside
     the identity's domain, not a counterexample: it raises ``DomainError``,
-    naming the expression and the binding.  An empty range raises
-    ``ValueError``, because it would check no cell, and so does a range of
-    more than ``sys.maxsize`` values, the most a list can hold.
+    naming the expression and the binding.  Each range is a grid axis, and
+    ``report.grid_axis`` refuses one that is empty or too long.
     """
     if not isinstance(ast, Eq):
         raise ValueError("expected an identity of the form lhs = rhs")
@@ -677,17 +674,7 @@ def check(ast: Eq, ranges: Mapping[str, tuple[int, int]], case_id: str = "user")
     if missing:
         raise ValueError(f"no range given for meta-variable(s): {', '.join(missing)}")
 
-    def axis(name: str) -> range | list[None]:
-        if name not in free:
-            return [None]
-        low, high = ranges[name]
-        if low > high:
-            raise ValueError(f"empty range '{name}={low}..{high}': low bound above high bound")
-        if high - low >= sys.maxsize:
-            raise ValueError(f"range '{name}={low}..{high}' has more than {sys.maxsize} values")
-        return range(low, high + 1)
-
-    ns, ks = axis("n"), axis("k")
+    ns, ks = (grid_axis(name, *ranges[name]) if name in free else [None] for name in ("n", "k"))
     cells = []
     for n in ns:
         for k in ks:
@@ -750,9 +737,10 @@ def load_corpus(path=None) -> list[CorpusEntry]:
         if current_id is None:
             raise ValueError(f"corpus line {line_no} has no preceding '# id:' comment")
         try:
-            ast = parse(line)
-        except ParseError as exc:  # report the position in the file, not in the stripped line
-            indent = len(raw) - len(raw.lstrip())
-            raise ParseError(exc.message, line_no, exc.col + indent) from None
+            # with its indent, so a column is the file's; without trailing blanks,
+            # so an unexpected end of input is placed just past the text
+            ast = parse(raw.rstrip())
+        except ParseError as exc:
+            raise ParseError(exc.message, line_no, exc.col) from None
         entries.append(CorpusEntry(current_id, line, ast))
     return entries

@@ -7,6 +7,7 @@ the rendered sides when they did not.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 
@@ -46,6 +47,20 @@ def check_cell(case_id: str, n: int | None, k: int | None, sides) -> CellResult:
     if passed:
         return CellResult(case_id, n, k, True, elapsed_ms)
     return CellResult(case_id, n, k, False, elapsed_ms, render_side(left), render_side(right))
+
+
+def grid_axis(name: str, low: int, high: int) -> range:
+    """The values ``low`` .. ``high`` of the grid axis ``name``.
+
+    The one rule for every grid axis: an empty axis raises ``ValueError``,
+    because it would check no cell, and so does an axis of more than
+    ``sys.maxsize`` values, the most a list can hold.
+    """
+    if low > high:
+        raise ValueError(f"empty range '{name}={low}..{high}': low bound above high bound")
+    if high - low >= sys.maxsize:
+        raise ValueError(f"range '{name}={low}..{high}' has more than {sys.maxsize} values")
+    return range(low, high + 1)
 
 
 def select_ids(items: list, ids: list[str] | None, what: str) -> list:

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import random
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -246,6 +247,18 @@ def test_free_meta_vars():
     assert free_meta_vars(parse_expression("x + y")) == set()
 
 
+@pytest.mark.parametrize(
+    "source, free",
+    [
+        ("sum(n=0..n, y^n)", {"n"}),  # the bound n is free in the range alone
+        ("sum(r=0..n, sum(s=r..k, x^s))", {"n", "k"}),  # r is bound in the inner range
+        ("sum(r=0..2, sum(r=0..r, y^r))", set()),  # the inner r shadows the outer one
+    ],
+)
+def test_a_sum_frees_its_variable_in_its_body_alone(source, free):
+    assert free_meta_vars(parse_expression(source)) == free
+
+
 # -- grid checks -------------------------------------------------------------------
 
 
@@ -292,6 +305,10 @@ def test_check_rejects_an_empty_range():
         check(parse("F[n] = L[n]"), {"n": (5, 2)})
     with pytest.raises(ValueError, match=r"empty range 'k=1\.\.0'"):
         check(parse("F[n*k] = L[n*k]"), {"n": (0, 3), "k": (1, 0)})
+    # nor can a range of more values than a list can hold be checked
+    too_long = rf"range 'n=0\.\.{10**20}' has more than {sys.maxsize} values"
+    with pytest.raises(ValueError, match=too_long):
+        check(parse("F[n] = F[n]"), {"n": (0, 10**20)})
 
 
 def test_check_ground_identity_is_a_single_cell():
@@ -439,6 +456,18 @@ def _no_index_products(node) -> bool:
         for name in _INDEX_FIELDS.get(type(outer), ())
         for inner in _nodes(getattr(outer, name))
     )
+
+
+@given(_expression_asts(), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_a_binding_of_the_free_meta_variables_binds_every_name(expression, n, k):
+    assume(_no_index_products(expression))
+    free = free_meta_vars(expression)
+    binding = {name: value for name, value in (("n", n), ("k", k)) if name in free}
+    try:
+        evaluate(expression, binding)
+    except DomainError as exc:  # a negative index is outside the domain, not unbound
+        assert "unbound meta-variable" not in str(exc), render(expression)
 
 
 def _sum_asts(var, scope):
