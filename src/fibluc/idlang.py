@@ -52,7 +52,9 @@ META_VARS = {"n", "k"}
 #: (``_render`` and the node's ``_text``: about 200) and the evaluator one; a
 #: domain error renders its node from inside the evaluator, which stays near
 #: 200.  So every input stays well inside Python's default recursion limit of
-#: 1000.
+#: 1000.  Each inner node owns one of the tokens + - * ^ F L binom sum, so a
+#: tree is at most one level taller than the input's count of those: the
+#: parser tracks heights only in an input that may hold MAX_DEPTH of them.
 MAX_DEPTH = 100
 _TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
@@ -420,10 +422,20 @@ class _Parser:
         self._nesting = 0
         self._leaves = _Leaves()
         # AST heights by node id; ids stay unique because every node built
-        # is held by the tree until the parse ends.  Every node owns a token
-        # of its own, so a tree is no taller than its count of tokens: an
-        # input of at most MAX_DEPTH tokens, EOF included, needs no heights.
-        self._heights: dict[int, int] | None = None if len(self._kinds) <= MAX_DEPTH else {}
+        # is held by the tree until the parse ends.  Each inner node owns a
+        # token that builds no other node, its mark (+ - * ^; a - is binary
+        # or unary, not both) or name (F L binom sum), so a root-to-leaf path
+        # holds at most one inner node per such token: an input with fewer
+        # than MAX_DEPTH of them never trips _build's check.  The source
+        # text's count of them can only be higher (another name may contain
+        # one), and an input of at most MAX_DEPTH tokens, EOF included, has
+        # fewer and skips the count.
+        self._heights: dict[int, int] | None = (
+            None
+            if len(self._kinds) <= MAX_DEPTH
+            or sum(map(source.count, ("+", "-", "*", "^", "F", "L", "binom", "sum"))) < MAX_DEPTH
+            else {}
+        )
 
     def _error(self, message: str, at: int | None = None) -> ParseError:
         """An error at the token with index ``at``, by default the next one."""

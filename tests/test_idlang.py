@@ -430,13 +430,18 @@ def _assert_tables_change_nothing(node: Sum, binding):
     ), render(node)
 
 
-def _nodes(node):
-    yield node
+def _children(node):
     for field in dataclasses.fields(node):
         value = getattr(node, field.name)
         for child in value if isinstance(value, tuple) else (value,):
             if isinstance(child, Node):
-                yield from _nodes(child)
+                yield child
+
+
+def _nodes(node):
+    yield node
+    for child in _children(node):
+        yield from _nodes(child)
 
 
 _INDEX_FIELDS = {
@@ -574,32 +579,151 @@ def _tree_size(node) -> int:
     return sum(1 for _ in _nodes(node))
 
 
-def _token_count(source: str) -> int:
-    """Tokens in ``source``, EOF excluded."""
-    return len(_tokenize(source)[0]) - 1
+def _height(node) -> int:
+    return 1 + max(map(_height, _children(node)), default=0)
 
 
-# every node owns a token of its own, which is why an input of at most
-# MAX_DEPTH tokens, EOF included, needs no height tracking
+def _token_counts(source: str) -> tuple[int, int]:
+    """Tokens in ``source``, EOF excluded, and how many of them are one of
+    + - * ^ F L binom sum, the tokens that build an inner node."""
+    texts = _tokenize(source)[1][:-1]
+    return len(texts), sum(text in ("+", "-", "*", "^", "F", "L", "binom", "sum") for text in texts)
+
+
+# every node owns a token of its own, and every inner node one of + - * ^ F L
+# binom sum, which is why an input with fewer than MAX_DEPTH of those needs no
+# height tracking
 @given(_expression_asts())
 @settings(max_examples=300)
 def test_a_parse_tree_has_no_more_nodes_than_its_source_has_tokens(expression):
     source = render(expression)
-    assert _tree_size(parse_expression(source)) <= _token_count(source)
+    tree = parse_expression(source)
+    tokens, node_tokens = _token_counts(source)
+    assert _tree_size(tree) <= tokens
+    assert _height(tree) <= 1 + node_tokens
 
 
 def test_a_corpus_tree_has_no_more_nodes_than_its_line_has_tokens():
     for entry in load_corpus():
-        assert _tree_size(entry.ast) <= _token_count(entry.source), entry.source
+        tokens, node_tokens = _token_counts(entry.source)
+        assert _tree_size(entry.ast) <= tokens, entry.source
+        # the parser builds each side; the Eq above them owns the '='
+        sides = (entry.ast.lhs, entry.ast.rhs)
+        assert max(map(_height, sides)) <= 1 + node_tokens, entry.source
 
 
-def test_a_short_input_parses_with_no_height_tracking():
-    # 50 terms are 99 tokens: MAX_DEPTH with EOF
+def test_an_input_with_few_node_tokens_parses_with_no_height_tracking():
+    # 50 terms are 99 tokens: MAX_DEPTH with EOF, so nothing is counted
     source = "+".join(["x"] * 50)
     parser = idlang._Parser(source)
     assert len(parser._kinds) == MAX_DEPTH and parser._heights is None
     assert parser.parse_expression() == functools.reduce(Add, [VarX()] * 50)
-    assert idlang._Parser(source + "+x")._heights == {}
+    # EQ09's line has more tokens than MAX_DEPTH, but only 45 build a node
+    (eq09,) = (entry for entry in load_corpus() if entry.case_id == "EQ09")
+    assert _token_counts(eq09.source) == (128, 45)
+    parser = idlang._Parser(eq09.source)
+    assert parser._heights is None and parser.parse_identity() == eq09.ast
+    # 101 operands hold MAX_DEPTH '+' marks, enough for a tree past the limit
+    assert idlang._Parser("+".join(["x"] * (MAX_DEPTH + 1)))._heights == {}
+
+
+def _assert_parses_as_with_heights_tracked(source):
+    """``parse`` and ``parse_expression`` give the AST, or the ParseError's
+    message, line and column, that a parser tracking heights from the start gives."""
+
+    def outcome(compute):
+        try:
+            return compute()
+        except ParseError as exc:
+            return exc.message, exc.line, exc.col
+
+    def tracked(rule):
+        parser = idlang._Parser(source)
+        parser._heights = {}
+        return getattr(parser, rule)()
+
+    assert outcome(lambda: parse(source)) == outcome(lambda: tracked("parse_identity")), source
+    assert outcome(lambda: parse_expression(source)) == outcome(
+        lambda: tracked("parse_expression")
+    ), source
+
+
+def _near_the_limit(operands: int) -> list[str]:
+    """Expressions about ``operands`` levels deep, by each way of nesting."""
+    d = operands
+    half = d // 2
+    chain, index_chain = "+".join(["x"] * half), "+".join(["n"] * half)
+    # one node of each kind over a chain, at the foot of another chain: d + 1
+    # levels tall and d node tokens, so each kind's token decides the tracking
+    feet = [
+        f"-({chain})",
+        f"({chain})*x",
+        f"({chain})^2",
+        f"F[n]({chain}, y)",
+        f"L[{index_chain}]",
+        f"binom({index_chain}, n)",
+        f"sum(r=0..1, {chain})",
+    ]
+    return [foot + "+x" * (d - half) for foot in feet] + [
+        "+".join(["x"] * d),
+        "-".join(["x"] * d),
+        "*".join(["-x"] * d),
+        "*".join(["x^2"] * d),
+        "(" * d + "x" + ")" * d,
+        "(x+" * d + "x" + ")" * d,
+        "(" * d + "x" + "+x)" * d,
+        "F[n](" * d + "x" + ", y)" * d,
+        "sum(r=0..1, " * d + "r*x" + ")" * d,
+        # names that hold F, L, binom or sum only raise the count
+        "sum(sumFL=0..n, " + "+".join(["sumFL"] * d) + ")",
+    ]
+
+
+@pytest.mark.parametrize("operands", range(MAX_DEPTH - 5, MAX_DEPTH + 6))
+def test_a_long_input_near_the_limit_parses_as_with_heights_tracked(operands):
+    for expression in _near_the_limit(operands):
+        _assert_parses_as_with_heights_tracked(expression)
+        _assert_parses_as_with_heights_tracked(f"{expression} = x")
+
+
+def test_a_chain_one_operand_past_the_limit_is_too_deep():
+    chain = "+".join(["x"] * MAX_DEPTH)
+    assert parse_expression(chain) == functools.reduce(Add, [VarX()] * MAX_DEPTH)
+    with pytest.raises(ParseError) as info:
+        parse_expression(chain + "+x")
+    assert str(info.value) == "1:202: expression nests deeper than 100 levels"
+
+
+_OPERANDS = [
+    "x", "y^2", "-x", "2", "(x+y)", "F[n]", "L[n+1](x, -y)", "binom(n, k)", "sum(r=0..n, r*x)",
+]
+_OPERATORS = ["+", "-", "*"]
+
+
+# each pair is at least two tokens, so each chain has more than MAX_DEPTH
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_OPERATORS), st.sampled_from(_OPERANDS)),
+        min_size=MAX_DEPTH // 2,
+        max_size=2 * MAX_DEPTH,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_a_long_chain_parses_as_with_heights_tracked(pairs):
+    _assert_parses_as_with_heights_tracked("x" + "".join(op + operand for op, operand in pairs))
+
+
+# every fragment is at least one token, so each soup has more than MAX_DEPTH
+@given(
+    st.lists(
+        st.sampled_from([*_OPERANDS, *_OPERATORS, "^", "(", ")", "[", "]", ",", "=", "..", "F"]),
+        min_size=MAX_DEPTH,
+        max_size=3 * MAX_DEPTH,
+    ).map("".join)
+)
+@settings(max_examples=200, deadline=None)
+def test_a_long_token_soup_parses_as_with_heights_tracked(source):
+    _assert_parses_as_with_heights_tracked(source)
 
 
 def test_a_late_error_in_a_long_line_reports_the_reference_column():
