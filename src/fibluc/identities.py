@@ -31,9 +31,7 @@ from .sequences import (
     seq,
 )
 
-_TWO_Y = 2 * Y
 _X2_2Y = X * X + 2 * Y
-_MAT_ZERO = PolyMatrix2(ZERO, ZERO, ZERO, ZERO)
 
 
 @dataclass(frozen=True)
@@ -72,15 +70,23 @@ def _quadruple_index_sum(n: int) -> BivarPoly:
 
 
 def _binomial_matrix_sum(n: int, power_shift: int) -> PolyMatrix2:
-    """sum_{k=0}^{n} C(n, k) (2y)^(n-k) x^k A^(k + power_shift)."""
-    a = matrix_A()
-    a_power = matrix_pow(a, power_shift)
-    total = _MAT_ZERO
-    for k in range(n + 1):
-        scalar = binomial(n, k) * _TWO_Y ** (n - k) * X**k
-        total = total + a_power * scalar
-        a_power = a_power * a
-    return total
+    """sum_{k=0}^{n} C(n, k) (2y)^(n-k) x^k A^(k + power_shift), by Horner's rule in A.
+
+    With c_k = C(n, k) (2y)^(n-k) x^k, T starts at zero and each step for
+    k = n .. 0 is T -> T*A + c_k I.  Right multiplication by
+    A = [[x, 1], [y, 0]] maps each row (t1, t2) of T to (x*t1 + y*t2, t1),
+    so a step is four products with a monomial.  The sum times
+    A^power_shift is one matrix product: at n = power_shift = 60 it took
+    half the time of 60 more steps, and at n = 10 5% more.
+    """
+    t11 = t12 = t21 = t22 = ZERO
+    for k in range(n, -1, -1):
+        t11, t12, t21, t22 = X * t11 + Y * t12, t11, X * t21 + Y * t22, t21
+        # c_k = C(n, k) 2^(n-k) x^k y^(n-k), one term
+        c = BivarPoly({(k, n - k): binomial(n, k) << (n - k)})
+        t11, t22 = t11 + c, t22 + c
+    total = PolyMatrix2(t11, t12, t21, t22)
+    return total * matrix_pow(matrix_A(), power_shift) if power_shift else total
 
 
 # -- the catalog --------------------------------------------------------------

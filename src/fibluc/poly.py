@@ -8,7 +8,9 @@ Zero coefficients are never stored, so two polynomials are equal exactly
 when their term mappings coincide, and ``==`` decides polynomial identity.
 Large products of weighted-homogeneous integer polynomials (every term has
 the same weight ``i + 2*j``, as in F_n and L_n) are computed with one
-integer multiply (Kronecker packing); results are unchanged.  Operands
+integer multiply (Kronecker packing); results are unchanged.  A square,
+one operand times itself (as binary squaring and repeated reads of one
+stored term give), packs that operand once and squares the int.  Operands
 that the substituted arguments of the identities make often skip the
 general loop as well: a sum with a zero operand is the other operand, a
 product with an operand of at most one term is one pass over the other's
@@ -249,10 +251,11 @@ def _packed_product(
     operand packs into the int ``sum(c << s*(j - j_min))`` and the digits of
     the one product are the coefficients of a*b.  An output coefficient is a
     sum of at most ``min(len(a), len(b))`` products, so the slot width ``s``
-    holds it with its sign.
+    holds it with its sign.  A square (``a is b``) packs its operand once
+    and squares the int.
     """
     shapes = []
-    for terms in (a, b):
+    for terms in (a,) if a is b else (a, b):
         i, low = next(iter(terms))
         weight = i + 2 * low
         for (i, j), c in terms.items():
@@ -261,9 +264,12 @@ def _packed_product(
             if j < low:
                 low = j
         shapes.append((weight, low, max(map(abs, terms.values())).bit_length()))
-    (wa, ja, top_a), (wb, jb, top_b) = shapes
+    (wa, ja, top_a), (wb, jb, top_b) = shapes[0], shapes[-1]
     s = top_a + top_b + min(len(a), len(b)).bit_length() + 1
-    return _unpack(_pack(a, s, ja) * _pack(b, s, jb), s, wa + wb, ja + jb)
+    packed = _pack(a, s, ja)
+    # one int object twice: CPython squares it (F_126's packed int: 38 us, against 59 us)
+    product = packed * (packed if a is b else _pack(b, s, jb))
+    return _unpack(product, s, wa + wb, ja + jb)
 
 
 def _pack(terms: Mapping[Monomial, int], s: int, low: int = 0) -> int:

@@ -446,7 +446,9 @@ class PolyMatrix2:
 
     __rmul__ = __mul__
 
-    def __add__(self, other: PolyMatrix2) -> PolyMatrix2:
+    def __add__(self, other: object) -> PolyMatrix2:
+        if not isinstance(other, PolyMatrix2):
+            return NotImplemented
         return PolyMatrix2(
             self.e11 + other.e11,
             self.e12 + other.e12,
@@ -470,9 +472,65 @@ class PolyMatrix2:
         return f"[[{self.e11}, {self.e12}], [{self.e21}, {self.e22}]]"
 
 
+def _grading(entries: tuple) -> tuple[int, int] | None:
+    """(w, d) such that the entries e11, e12, e21, e22 weigh w, w + d, w - d, w, or None.
+
+    Every entry must be a :class:`BivarPoly` with int coefficients whose
+    terms x^i y^j all have one weight i + 2j; a zero entry fits any weight.
+    Products keep such a grading: the entries of m^n weigh nw, nw + d,
+    nw - d and nw.
+    """
+    weights = []
+    for entry in entries:
+        if type(entry) is not BivarPoly or any(type(c) is not int for c in entry._terms.values()):
+            return None
+        found = {i + 2 * j for i, j in entry._terms}
+        if len(found) > 1:
+            return None
+        weights.append(found.pop() if found else None)
+    w11, w12, w21, w22 = weights
+    twice = {2 * w for w in (w11, w22) if w is not None}
+    if w12 is not None and w21 is not None:
+        twice.add(w12 + w21)
+    if len(twice) > 1 or any(t % 2 for t in twice):
+        return None
+    # with a zero diagonal and at most one other entry, m^2 is zero and any w fits
+    w = twice.pop() // 2 if twice else 0
+    if w12 is not None:
+        return w, w12 - w
+    return w, (w - w21 if w21 is not None else 0)
+
+
 def matrix_pow(m: PolyMatrix2, n: int) -> PolyMatrix2:
-    """m**n by binary squaring; n = 0 gives the identity."""
-    return binary_power(m, n, m.identity_like())
+    """m**n; n = 0 gives the identity.
+
+    Where m has a grading (see :func:`_grading`) and n >= 2, each entry
+    packs into one int at x -> 1, y -> 2^s, as :func:`poly._pack` does, and
+    the 2x2 int matrix is raised to the n-th power by binary squaring.  The
+    map is a ring homomorphism, so the packed power is the image of m^n.
+    Each entry of m^n is graded, so its terms are fixed by their y-exponents,
+    and a coefficient is at most the entry of N^n, N the matrix of the
+    entries' coefficient 1-norms; s is one bit more than N^n's largest
+    entry, so each coefficient fits its signed slot and unpacks exactly.
+    The result has binary squaring's terms and int coefficients.  Every
+    other matrix (extension-ring, Fraction or int entries, no grading) is
+    raised by binary squaring in its own ring.
+    """
+    entries = (m.e11, m.e12, m.e21, m.e22)
+    grading = _grading(entries) if isinstance(n, int) and n >= 2 else None
+    if grading is None:
+        return binary_power(m, n, m.identity_like())
+    w, d = grading
+    # n >= 2, so binary_power never returns its identity argument
+    norms = binary_power(PolyMatrix2(*(sum(map(abs, e._terms.values())) for e in entries)), n, None)
+    s = max(norms.e11, norms.e12, norms.e21, norms.e22).bit_length() + 1
+    packed = binary_power(PolyMatrix2(*(_pack(e._terms, s) for e in entries)), n, None)
+    return PolyMatrix2(
+        _poly(_unpack(packed.e11, s, n * w)),
+        _poly(_unpack(packed.e12, s, n * w + d)),
+        _poly(_unpack(packed.e21, s, n * w - d)),
+        _poly(_unpack(packed.e22, s, n * w)),
+    )
 
 
 def matrix_A() -> PolyMatrix2:

@@ -163,6 +163,28 @@ def test_closed_forms_notice_a_short_binomial_sum(monkeypatch):
     assert {cell.case_id for cell in report.failures()} == set(closed_forms)
 
 
+def test_the_horner_matrix_sum_is_its_definition():
+    a = sequences.matrix_A()
+    for n in range(13):
+        for shift in (0, n):
+            expected = sequences.PolyMatrix2(*[BivarPoly()] * 4)
+            for k in range(n + 1):
+                scalar = sequences.binomial(n, k) * (2 * Y) ** (n - k) * X**k
+                expected = expected + sequences.matrix_pow(a, k + shift) * scalar
+            assert identities._binomial_matrix_sum(n, shift) == expected
+
+
+def test_matrix_sums_notice_a_wrong_binomial_coefficient(monkeypatch):
+    # C(n, 1) + 1 in place of C(n, 1): every cell with a k = 1 term fails
+    def planted(n, k):
+        return sequences.binomial(n, k) + (k == 1)
+
+    monkeypatch.setattr(identities, "binomial", planted)
+    report = run_catalog(6, 1, ids=["EQ01", "EQ07"])
+    failed = {(cell.case_id, cell.n) for cell in report.failures()}
+    assert failed == {(case_id, n) for case_id in ("EQ01", "EQ07") for n in range(1, 7)}
+
+
 def test_divisibility_form_of_composition():
     # the composed value is a polynomial Q with Q * F_k = F_{nk}
     for n in range(0, 6):

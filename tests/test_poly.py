@@ -22,6 +22,7 @@ from fibluc import (
     parse_expression,
     seq,
 )
+from fibluc import poly
 from fibluc._seqcache import fib_poly, luc_poly
 from fibluc.poly import _packed_product, binary_power
 from oracles import d_add, d_mul, poly_fib, poly_luc
@@ -120,11 +121,11 @@ def _homogeneous(weight, coeffs):
 
 
 @st.composite
-def homogeneous_polys(draw):
-    """Weighted-homogeneous integer polynomials with 8 to 40 terms and
-    coefficients up to 2^200 in size, of either sign."""
+def homogeneous_polys(draw, min_terms=8):
+    """Weighted-homogeneous integer polynomials with min_terms to 40 terms
+    and coefficients up to 2^200 in size, of either sign."""
     weight = draw(st.integers(14, 90))
-    js = draw(st.lists(st.integers(0, weight // 2), min_size=8, max_size=40, unique=True))
+    js = draw(st.lists(st.integers(0, weight // 2), min_size=min_terms, max_size=40, unique=True))
     nonzero = st.integers(-(2**200), 2**200).filter(bool)
     coeffs = draw(st.lists(nonzero, min_size=len(js), max_size=len(js)))
     return _homogeneous(weight, dict(zip(js, coeffs)))
@@ -134,6 +135,38 @@ def homogeneous_polys(draw):
 def test_packed_mul_matches_schoolbook(p, q):
     assert _packed_product(p.terms, q.terms) is not None
     assert (p * q).terms == d_mul(p.terms, q.terms)
+
+
+def _counting_packs(patch):
+    """Patch ``poly._pack`` to record its calls, and return the record."""
+    calls, real = [], poly._pack
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    patch.setattr("fibluc.poly._pack", counting)
+    return calls
+
+
+@given(homogeneous_polys(min_terms=3))
+def test_a_square_packs_its_operand_once(p):
+    terms = p.terms
+    with pytest.MonkeyPatch.context() as patch:
+        packs = _counting_packs(patch)
+        square = _packed_product(terms, terms)
+        assert len(packs) == 1
+        assert square == _packed_product(terms, dict(terms))
+        # the dict loop's product, with packing declined
+        patch.setattr("fibluc.poly._packed_product", lambda a, b: None)
+        assert square == (p * p).terms == d_mul(terms, terms)
+
+
+def test_a_stored_value_times_itself_is_packed_once(monkeypatch):
+    packs = _counting_packs(monkeypatch)
+    # every read of a kept term returns one object, so this is a square
+    assert (fib_poly(126) * fib_poly(126)).terms == d_mul(poly_fib(126), poly_fib(126))
+    assert len(packs) == 1
 
 
 def test_packed_mul_at_the_slot_boundary():

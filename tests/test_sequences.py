@@ -38,7 +38,8 @@ from fibluc import (
 )
 from fibluc import cli, evaluate, identities, parse_expression, sequences
 from fibluc._seqcache import fib_poly, luc_poly
-from oracles import int_seq, poly_fib, poly_luc
+from fibluc.poly import binary_power
+from oracles import d_add, d_mul, int_seq, poly_fib, poly_luc
 
 
 def test_seeds():
@@ -706,6 +707,94 @@ def test_matrix_pow_small_cases():
 def test_matrix_pow_rejects_a_negative_exponent():
     with pytest.raises(ValueError, match="exponent must be a nonnegative integer, got -1"):
         matrix_pow(matrix_A(), -1)
+
+
+def _entries(m):
+    return m.e11, m.e12, m.e21, m.e22
+
+
+@st.composite
+def graded_matrices(draw):
+    """A matrix of int polynomials whose entries weigh w, w + d, w - d and w.
+
+    Each entry has up to three terms x^(W - 2j) y^j, W its weight, with
+    coefficients of either sign up to 2^40; an entry of negative weight, and
+    any other entry drawn with no terms, is zero.
+    """
+    w, d = draw(st.integers(0, 4)), draw(st.integers(-3, 3))
+    coeffs = st.integers(-(2**40), 2**40)
+    entries = []
+    for weight in (w, w + d, w - d, w):
+        size = 3 if weight >= 0 else 0
+        js = draw(st.lists(st.integers(0, max(weight, 0) // 2), max_size=size, unique=True))
+        entries.append(BivarPoly({(weight - 2 * j, j): draw(coeffs) for j in js}))
+    return PolyMatrix2(*entries)
+
+
+@given(graded_matrices(), st.integers(0, 40))
+@example(PolyMatrix2(ZERO, 3 * X, -5 * X * Y, ZERO), 7)  # anti-diagonal, weights 1 and 3
+@example(PolyMatrix2(ZERO, ZERO, ZERO, ZERO), 5)
+@example(PolyMatrix2(ZERO, X, ZERO, ZERO), 2)  # nilpotent: the square is zero
+@example(PolyMatrix2(X, (1 << 40) * X * X, -(1 << 40) * ONE, -X), 40)  # d = 1, wide slots
+def test_packed_matrix_powers_equal_binary_squaring(m, n):
+    assert sequences._grading(_entries(m)) is not None
+    power = matrix_pow(m, n)
+    assert power == binary_power(m, n, m.identity_like())
+    assert {type(c) for e in _entries(power) for c in e.terms.values()} <= {int}
+    if n == 0:
+        assert power == m.identity_like()
+
+
+def _oracle_powers(m, top):
+    """[m^0 .. m^top] as entry term dicts, by repeated schoolbook products."""
+    e11, e12, e21, e22 = (e.terms for e in _entries(m))
+    power = ({(0, 0): 1}, {}, {}, {(0, 0): 1})
+    powers = []
+    for _ in range(top + 1):
+        powers.append(power)
+        a, b, c, d = power
+        power = (
+            d_add(d_mul(a, e11), d_mul(b, e21)),
+            d_add(d_mul(a, e12), d_mul(b, e22)),
+            d_add(d_mul(c, e11), d_mul(d, e21)),
+            d_add(d_mul(c, e12), d_mul(d, e22)),
+        )
+    return powers
+
+
+@pytest.mark.parametrize("matrix", [matrix_A(), matrix_B(), matrix_BA()], ids=["A", "B", "BA"])
+def test_packed_matrix_powers_match_the_schoolbook_oracle(matrix):
+    for n, expected in enumerate(_oracle_powers(matrix, 30)):
+        assert tuple(e.terms for e in _entries(matrix_pow(matrix, n))) == expected
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        PolyMatrix2(X * Fraction(1, 2), ONE, Y, ZERO),
+        PolyMatrix2(QuadExtElem(X, ONE), DELTA, Y, ZERO),
+        PolyMatrix2(3, 1, 2, 0),
+        PolyMatrix2(X, ONE, Y, Y),
+        PolyMatrix2(X, X, Y, X),
+        PolyMatrix2(X + Y, ONE, Y, ZERO),
+    ],
+    ids=["fraction", "extension", "int", "unequal-diagonal", "off-diagonal", "ungraded"],
+)
+def test_matrices_with_no_grading_keep_binary_squaring(matrix):
+    assert sequences._grading(_entries(matrix)) is None
+    for n in range(13):
+        power = matrix_pow(matrix, n)
+        expected = binary_power(matrix, n, matrix.identity_like())
+        assert power == expected
+        assert list(map(_types, _entries(power))) == list(map(_types, _entries(expected)))
+    with pytest.raises(ValueError, match="exponent must be a nonnegative integer, got -1"):
+        matrix_pow(matrix, -1)
+
+
+def test_adding_a_non_matrix_to_a_matrix_raises_type_error():
+    for add in (lambda: matrix_A() + 1, lambda: 1 + matrix_A(), lambda: matrix_A() + X):
+        with pytest.raises(TypeError):
+            add()
 
 
 def test_matrix_entry_display():
