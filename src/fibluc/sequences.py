@@ -57,7 +57,9 @@ def _seeds(kind: SeqKind, x_arg) -> tuple:
     one = x_arg**0
     if kind is SeqKind.FIB:
         return one * 0, one
-    return one * 2, x_arg
+    if kind is SeqKind.LUC:
+        return one * 2, x_arg
+    raise ValueError(f"sequence kind must be a SeqKind, got {kind!r}")
 
 
 def _next_term(x_arg, y_arg, u_prev, u_cur):
@@ -232,6 +234,8 @@ def _build(kind: SeqKind, m: int) -> BivarPoly:
     (j(m-j)), an exact division: no ring product runs, and every coefficient
     is an int, as in the ring step's terms.
     """
+    if not isinstance(kind, SeqKind):
+        raise ValueError(f"sequence kind must be a SeqKind, got {kind!r}")
     top = m - 1 if kind is SeqKind.FIB else m
     terms, c = {}, 1
     for j in range(top // 2 + 1):
@@ -361,7 +365,9 @@ def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
     F_m and L_m, the later kept), though never a seed (``_build(LUC, 0)``
     would give 1), so a term too large to keep is returned and dropped at
     once.  Every read of a kept term returns one object.
-    ``seq(FIB, 2000)`` builds F_2000 alone.
+    ``seq(FIB, 2000)`` builds F_2000 alone.  A kind that is not a
+    :class:`SeqKind` or an index that is not a nonnegative int raises
+    ValueError, and leaves the store as it was.
 
     Any other pair has a :class:`_Terms` entry per kind, as the module
     docstring describes, keyed by the kind and the argument pair with their
@@ -373,6 +379,8 @@ def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
     the store's one lock, so two callers of one pair walk it once.
     """
     global _built_size, _pairs_size
+    if not isinstance(n, int):
+        raise ValueError(f"sequence index must be an integer, got {n}")
     if n < 0:
         raise ValueError(f"sequence index must be nonnegative, got {n}")
     with _lock:
@@ -419,9 +427,7 @@ def binomial(n: int, k: int) -> int:
     """C(n, k) with the convention that out-of-range k gives 0."""
     if n < 0:
         raise ValueError(f"upper index must be nonnegative, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
+    return comb(n, k) if k >= 0 else 0
 
 
 @dataclass(frozen=True)

@@ -171,7 +171,8 @@ def test_the_horner_matrix_sum_is_its_definition():
             for k in range(n + 1):
                 scalar = sequences.binomial(n, k) * (2 * Y) ** (n - k) * X**k
                 expected = expected + sequences.matrix_pow(a, k + shift) * scalar
-            assert identities._binomial_matrix_sum(n, shift) == expected
+            total = identities._binomial_matrix_sum(n) * sequences.matrix_pow(a, shift)
+            assert total == expected
 
 
 def test_matrix_sums_notice_a_wrong_binomial_coefficient(monkeypatch):

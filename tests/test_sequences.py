@@ -65,6 +65,33 @@ def test_cached_table_rejects_a_negative_index():
         fib_poly(-1)
 
 
+@pytest.mark.parametrize("args", [(), (1, 1)])
+def test_a_non_integer_index_raises_whatever_the_store_holds(monkeypatch, args):
+    # 3.0 == 3 and both hash alike, so a stored F_3 must not answer for it
+    monkeypatch.setattr(sequences, "_pairs", {})
+    monkeypatch.setattr(sequences, "_pairs_size", 0)
+    fresh_generator_memo(monkeypatch)
+    for stored in (False, True):
+        if stored:
+            seq(SeqKind.FIB, 3, *args)
+        with pytest.raises(ValueError, match=r"^sequence index must be an integer, got 3\.0$"):
+            seq(SeqKind.FIB, 3.0, *args)
+
+
+@pytest.mark.parametrize("args", [(), (1, 1), (2 * X, Y)])
+def test_a_kind_that_is_not_a_seq_kind_raises_and_stores_nothing(monkeypatch, args):
+    monkeypatch.setattr(sequences, "_pairs", {})
+    monkeypatch.setattr(sequences, "_pairs_size", 0)
+    built = fresh_generator_memo(monkeypatch)
+    for n in (0, 4, 5):
+        with pytest.raises(ValueError, match="^sequence kind must be a SeqKind, got 'F'$"):
+            seq("F", n, *args)
+    assert not any(key[0] == "F" for key in [*built, *sequences._pairs])
+    assert sequences._pairs_size == 0
+    with pytest.raises(ValueError, match="sequence kind must be a SeqKind"):
+        next(seq_terms("F", *args))
+
+
 def test_cached_tables_match_oracle():
     for n in range(0, 65):
         assert fib_poly(n).terms == poly_fib(n)

@@ -19,3 +19,15 @@ def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
     )
     # import, both lines of the def, both lines of the string assignment, return
     assert code_lines.code_lines(source) == 6
+
+
+def test_code_lines_prints_each_modules_lines_and_source_bytes(tmp_path, capsys):
+    (tmp_path / "a.py").write_text('"""Doc."""\nx = 1\n', encoding="utf-8")
+    (tmp_path / "b.py").write_text("# note\ny = 2\nz = 3\n", encoding="utf-8")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "module       lines   bytes",
+        "a                1      17",
+        "b                2      19",
+        "total            3      36",
+    ]

@@ -1,8 +1,10 @@
-"""Print the code lines of each module of ``src/fibluc`` and their total.
+"""Print the code lines and source bytes of each module of ``src/fibluc``, and their totals.
 
 A code line holds at least one token that is not a comment and is not part
 of a docstring (the first statement of a module, class or function, when it
 is a string).  Blank lines, comment lines and docstring lines do not count.
+Source bytes count the whole file, docstrings and comments too: a process
+that compiles the package from source reads all of them.
 
 Run from the repository root: ``python tools/code_lines.py [DIR]``.
 """
@@ -50,12 +52,14 @@ def code_lines(path: Path) -> int:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "fibluc"
-    total = 0
+    total = total_bytes = 0
+    print(f"{'module':<12} {'lines':>5} {'bytes':>7}")
     for path in sorted(root.glob("*.py")):
-        count = code_lines(path)
+        count, size = code_lines(path), path.stat().st_size
         total += count
-        print(f"{path.stem:<12} {count:5d}")
-    print(f"{'total':<12} {total:5d}")
+        total_bytes += size
+        print(f"{path.stem:<12} {count:5d} {size:7d}")
+    print(f"{'total':<12} {total:5d} {total_bytes:7d}")
     return 0
 
 
