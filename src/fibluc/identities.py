@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ._seqcache import fib_poly, luc_poly
-from .poly import BivarPoly, DELTA, DISCRIMINANT, QuadExtElem, X, Y, ZERO
+from .poly import BivarPoly, DELTA, DISCRIMINANT, QuadExtElem, X, Y, ZERO, binary_power
 from .report import CellResult, CheckReport, DomainError, check_cell, grid_axis, select_ids
 from .sequences import (
     PolyMatrix2,
     SeqKind,
+    _unpack_matrix,
     binomial,
     binomial_sum,
     matrix_A,
@@ -68,21 +69,38 @@ def _quadruple_index_sum(n: int) -> BivarPoly:
     return _X2_2Y * X * binomial_sum(2 * n - 1, X * X * DISCRIMINANT, Y * Y)
 
 
-def _binomial_matrix_sum(n: int) -> PolyMatrix2:
-    """sum_{k=0}^{n} C(n, k) (2y)^(n-k) x^k A^k, by Horner's rule in A.
+def _binomial_matrix_sum(n: int, shift: int = 0) -> PolyMatrix2:
+    """sum_{k=0}^{n} C(n, k) (2y)^(n-k) x^k A^(k+shift), by Horner's rule in A on ints.
 
     With c_k = C(n, k) (2y)^(n-k) x^k, T starts at zero and each step for
-    k = n .. 0 is T -> T*A + c_k I.  Right multiplication by
-    A = [[x, 1], [y, 0]] maps each row (t1, t2) of T to (x*t1 + y*t2, t1),
-    so a step is four products with a monomial.
+    k = n .. 0 is T -> T*A + c_k I; the sum is T*A^shift.  Every entry is
+    graded: c_k A^k weighs 2n, 2n - 1, 2n + 1 and 2n, so T runs on ints at
+    x -> 1, y -> 2^s (:func:`_binomial_matrix_image`) and unpacks once per
+    entry, as :func:`sequences.matrix_pow` does.  Every coefficient is
+    nonnegative, so the image at s = 0, the value at (1, 1), bounds it, and
+    s is one bit more than that image's largest entry.
     """
-    t11 = t12 = t21 = t22 = ZERO
+    bound = _binomial_matrix_image(n, shift, 0)
+    s = max(bound.e11, bound.e12, bound.e21, bound.e22).bit_length() + 1
+    return _unpack_matrix(_binomial_matrix_image(n, shift, s), s, 2 * n + shift, -1)
+
+
+def _binomial_matrix_image(n: int, shift: int, s: int) -> PolyMatrix2:
+    """The four ints of :func:`_binomial_matrix_sum` at x -> 1, y -> 2^s.
+
+    Right multiplication by A = [[x, 1], [y, 0]] maps each row (t1, t2) of
+    T to (x*t1 + y*t2, t1), here (t1 + (t2 << s), t1), and c_k is
+    C(n, k) 2^(n-k) << s(n-k).  A^shift is the int matrix [[1, 1], [2^s, 0]]
+    raised by binary squaring.
+    """
+    t11 = t12 = t21 = t22 = 0
     for k in range(n, -1, -1):
-        t11, t12, t21, t22 = X * t11 + Y * t12, t11, X * t21 + Y * t22, t21
-        # c_k = C(n, k) 2^(n-k) x^k y^(n-k), one term
-        c = BivarPoly({(k, n - k): binomial(n, k) << (n - k)})
-        t11, t22 = t11 + c, t22 + c
-    return PolyMatrix2(t11, t12, t21, t22)
+        c = binomial(n, k) << (n - k) * (s + 1)
+        t11, t12, t21, t22 = t11 + (t12 << s) + c, t11, t21 + (t22 << s), t21 + c
+    total = PolyMatrix2(t11, t12, t21, t22)
+    if shift:
+        total = total * binary_power(PolyMatrix2(1, 1, 1 << s, 0), shift, None)
+    return total
 
 
 # -- the catalog --------------------------------------------------------------
@@ -143,9 +161,8 @@ def build_catalog() -> list[IdentityCase]:
             "EQ07",
             0,
             lambda n: matrix_pow(matrix_BA(), n),
-            # one product with A^n: at n = 60 it took 3.5 ms, against 8.0 ms
-            # for 60 more Horner steps
-            lambda n: _binomial_matrix_sum(n) * matrix_pow(matrix_A(), n),
+            # A^n is taken on the sum's packed ints, so no ring product runs
+            lambda n: _binomial_matrix_sum(n, n),
         ),
         unary(
             "EQ08",

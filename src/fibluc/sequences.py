@@ -531,11 +531,17 @@ def matrix_pow(m: PolyMatrix2, n: int) -> PolyMatrix2:
     norms = binary_power(PolyMatrix2(*(sum(map(abs, e._terms.values())) for e in entries)), n, None)
     s = max(norms.e11, norms.e12, norms.e21, norms.e22).bit_length() + 1
     packed = binary_power(PolyMatrix2(*(_pack(e._terms, s) for e in entries)), n, None)
+    return _unpack_matrix(packed, s, n * w, d)
+
+
+def _unpack_matrix(packed: PolyMatrix2, s: int, w: int, d: int) -> PolyMatrix2:
+    """The matrix whose entries :func:`poly._pack` gives ``packed`` at width s, weighing
+    w, w + d, w - d and w (see :func:`_grading`)."""
     return PolyMatrix2(
-        _poly(_unpack(packed.e11, s, n * w)),
-        _poly(_unpack(packed.e12, s, n * w + d)),
-        _poly(_unpack(packed.e21, s, n * w - d)),
-        _poly(_unpack(packed.e22, s, n * w)),
+        _poly(_unpack(packed.e11, s, w)),
+        _poly(_unpack(packed.e12, s, w + d)),
+        _poly(_unpack(packed.e21, s, w - d)),
+        _poly(_unpack(packed.e22, s, w)),
     )
 
 
@@ -558,12 +564,33 @@ def binomial_sum(m: int, a, b):
 
     ``a^(m%2) * binomial_sum(m, a*a, b)`` is F_{m+1}(a, b); the catalog's
     closed forms and :func:`power_entry_factor` are all instances.  The sum
-    runs by Horner's rule in ``a`` with a running power of ``b``, so each
-    term costs one product with ``a`` and one with ``b``, and it lives in
-    the ring of ``a**0 * b**0``.
+    runs by Horner's rule in ``a`` with a running power of ``b``
+    (:func:`_binomial_horner`), and it lives in the ring of ``a**0 * b**0``.
+
+    Where ``a`` and ``b`` are int polynomials of one weight w (the diagonal
+    matrix of the two has a grading, see :func:`_grading`; a zero fits any
+    weight), every term of the sum weighs w*(m//2), so the sum runs once on
+    ints at x -> 1, y -> 2^s and unpacks once, as :func:`matrix_pow` does.
+    Every C(m-k, k) is nonnegative, so the same sum of the coefficient
+    1-norms of ``a`` and ``b`` bounds every coefficient, and s is one bit
+    more than it.  The result has the ring loop's terms and int
+    coefficients.  Every other pair (extension-ring, Fraction or int values,
+    or two weights) takes the ring loop, one product with ``a`` and one with
+    ``b`` per term.
     """
     if m < 0:
         raise ValueError(f"index must be nonnegative, got {m}")
+    grading = _grading((a, ZERO, ZERO, b))
+    if grading is None:
+        return _binomial_horner(m, a, b)
+    norm_a, norm_b = (sum(map(abs, e._terms.values())) for e in (a, b))
+    s = _binomial_horner(m, norm_a, norm_b).bit_length() + 1
+    packed = _binomial_horner(m, _pack(a._terms, s), _pack(b._terms, s))
+    return _poly(_unpack(packed, s, grading[0] * (m // 2)))
+
+
+def _binomial_horner(m: int, a, b):
+    """The sum of :func:`binomial_sum` by Horner's rule, in the ring of ``a**0 * b**0``."""
     total = b_power = a**0 * b**0
     for k in range(1, m // 2 + 1):
         b_power = b_power * b

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
+from math import comb
 
 import hypothesis.strategies as st
 import pytest
@@ -915,6 +916,60 @@ def test_binomial_sum_is_the_next_fibonacci_term(a, b):
     assert type(sequences.binomial_sum(0, a * a, b)) is type(a**0 * b**0)
     with pytest.raises(ValueError, match="index must be nonnegative, got -1"):
         sequences.binomial_sum(-1, a * a, b)
+
+
+def _oracle_binomial_sum(m, a, b):
+    """sum_k C(m-k, k) a^(m//2-k) b^k on term dicts, by Horner's rule in a."""
+    total = b_power = {(0, 0): 1}
+    for k in range(1, m // 2 + 1):
+        b_power = d_mul(b_power, b)
+        total = d_add(d_mul(a, total), {mono: comb(m - k, k) * c for mono, c in b_power.items()})
+    return total
+
+
+@st.composite
+def _same_weight_pairs(draw):
+    """Two int polynomials of one weight, coefficients up to 2^200 of either sign."""
+    weight = draw(st.integers(0, 12))
+    nonzero = st.integers(-(2**200), 2**200).filter(bool)
+    pair = []
+    for _ in range(2):
+        js = draw(st.lists(st.integers(0, weight // 2), min_size=1, max_size=4, unique=True))
+        pair.append(BivarPoly({(weight - 2 * j, j): draw(nonzero) for j in js}))
+    return tuple(pair)
+
+
+@given(_same_weight_pairs(), st.integers(0, 40))
+@example((ZERO, -(Y**3)), 9)
+@example((X**4 - 3 * Y * Y, ZERO), 9)
+@example((X**6 + Y**3, (1 << 40) * Y**3), 21)
+@example((X * X + 4 * Y, -Y), 0)
+@example((X * X + 4 * Y, -Y), 1)
+@example((X * X + 4 * Y, -Y), 2)
+@example((X * X + 4 * Y, -Y), 3)
+def test_packed_binomial_sum_is_the_horner_sum(pair, m):
+    a, b = pair
+    total = sequences.binomial_sum(m, a, b)
+    assert total.terms == _oracle_binomial_sum(m, a.terms, b.terms)
+    assert {type(c) for c in total.terms.values()} <= {int}
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (X * X + Y, X),  # two weights
+        (X * X + Fraction(1, 2) * Y, -Y),  # a Fraction coefficient
+        (X * X + 4 * Y, Fraction(-1) * Y),
+        (DELTA * X, -Y),  # QuadExtElem
+        (3, -2),
+        (Fraction(1, 4), 5),
+    ],
+)
+def test_binomial_sum_keeps_the_ring_loop_for_other_operands(a, b):
+    for m in range(12):
+        total, ring = sequences.binomial_sum(m, a, b), sequences._binomial_horner(m, a, b)
+        assert total == ring
+        assert sequences._types(total) == sequences._types(ring)
 
 
 @pytest.mark.parametrize("name,matrix", [("A", matrix_A()), ("B", matrix_B()), ("BA", matrix_BA())])
