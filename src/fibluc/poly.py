@@ -8,7 +8,11 @@ Zero coefficients are never stored, so two polynomials are equal exactly
 when their term mappings coincide, and ``==`` decides polynomial identity.
 Large products of weighted-homogeneous integer polynomials (every term has
 the same weight ``i + 2*j``, as in F_n and L_n) are computed with one
-integer multiply (Kronecker packing); results are unchanged.  A square,
+integer multiply (Kronecker packing); results are unchanged.  A product that
+spans at least ``_LAZY_MIN_SLOTS`` slots stays packed until its terms are
+read: products, sums, negations and ``==`` of such values run on the packed
+ints where the bounds allow, and the first read of the terms unpacks it
+once (see :class:`_LazyPoly`).  A square,
 one operand times itself (as binary squaring and repeated reads of one
 stored term give), packs that operand once and squares the int.  Operands
 that the substituted arguments of the identities make often skip the
@@ -62,7 +66,8 @@ class _Ring:
 class BivarPoly(_Ring):
     """Sparse bivariate polynomial in x and y with rational coefficients."""
 
-    __slots__ = ("_terms",)
+    # ``_image`` is set on a deferred product alone (see :class:`_LazyPoly`)
+    __slots__ = ("_terms", "_image")
 
     def __init__(self, terms: Mapping[Monomial, _Coeff] | None = None) -> None:
         clean: dict[Monomial, _Coeff] = {}
@@ -138,10 +143,12 @@ class BivarPoly(_Ring):
                 for (p, q), cb in many.items():
                     out[(i + p, j + q)] = ca * cb
         elif (
-            len(few) < _PACK_MIN_TERMS
-            or len(a) * len(b) < _PACK_MIN_PAIRS
-            or (out := _packed_product(a, b)) is None
+            len(few) >= _PACK_MIN_TERMS
+            and len(a) * len(b) >= _PACK_MIN_PAIRS
+            and (product := _packed_product(a, b)) is not None
         ):
+            return product
+        else:
             out = {}
             for (i, j), ca in a.items():
                 for (p, q), cb in b.items():
@@ -239,37 +246,210 @@ def _poly(terms: dict[Monomial, _Coeff]) -> BivarPoly:
 _PACK_MIN_TERMS = 3
 _PACK_MIN_PAIRS = 64
 
+#: Fewest slots (y-exponents from the lowest to ``weight // 2``) of a packed
+#: product that stays packed as a :class:`_LazyPoly`; a product with fewer is
+#: unpacked at once, at the exact width, where deferring cost more than it
+#: saved.  A deferred width is the bound plus 1 plus ``_LAZY_SPARE`` bits,
+#: rounded up to a multiple of ``_LAZY_RUNG``: the products of one side of
+#: an identity, whose bounds differ by a few bits, then usually share one
+#: width, and the spare bits hold what the scalings and sums that follow
+#: add (``L*L - (x^2+4y)*F^2`` adds 6), so they too stay on the ints.
+_LAZY_MIN_SLOTS = 32
+_LAZY_SPARE = 8
+_LAZY_RUNG = 32
 
-def _packed_product(
-    a: Mapping[Monomial, _Coeff], b: Mapping[Monomial, _Coeff]
-) -> dict[Monomial, int] | None:
-    """Term dict of a*b by Kronecker substitution, or None where it does not apply.
+
+def _grade(terms: Mapping[Monomial, _Coeff]) -> tuple[int, int, int] | None:
+    """(weight, low, bits) of a nonempty weighted-homogeneous int term mapping, else None.
+
+    Every term x^i y^j has the one weight ``i + 2*j``, ``low`` is the lowest
+    y-exponent, and every coefficient lies below 2^bits in magnitude.
+    """
+    i, low = next(iter(terms))
+    weight = i + 2 * low
+    for (i, j), c in terms.items():
+        if i + 2 * j != weight or type(c) is not int:
+            return None
+        if j < low:
+            low = j
+    return weight, low, max(map(abs, terms.values())).bit_length()
+
+
+def _packed_product(a: Mapping[Monomial, _Coeff], b: Mapping[Monomial, _Coeff]) -> BivarPoly | None:
+    """a*b by Kronecker substitution, or None where it does not apply.
 
     Both operands must be nonempty.  It applies when every coefficient is an
-    ``int`` and each operand is weighted-homogeneous: all its terms have one
-    weight ``i + 2*j``.  A term is then fixed by its y-exponent, so each
-    operand packs into the int ``sum(c << s*(j - j_min))`` and the digits of
-    the one product are the coefficients of a*b.  An output coefficient is a
-    sum of at most ``min(len(a), len(b))`` products, so the slot width ``s``
-    holds it with its sign.  A square (``a is b``) packs its operand once
-    and squares the int.
+    ``int`` and each operand is weighted-homogeneous (see :func:`_grade`).  A
+    term is then fixed by its y-exponent, so each operand packs into the int
+    ``sum(c << s*(j - j_min))`` and the digits of the one product are the
+    coefficients of a*b.  An output coefficient is a sum of at most
+    ``min(len(a), len(b))`` products, so it lies below 2^bits with bits the
+    operands' bounds plus the bit length of that count, and a slot of width
+    ``bits + 1`` holds it with its sign.  A product of at least
+    ``_LAZY_MIN_SLOTS`` slots is packed at the wider width set out there and
+    returned deferred; any other is unpacked at once.  A square (``a is b``)
+    packs its operand once and squares the int.
     """
-    shapes = []
-    for terms in (a,) if a is b else (a, b):
-        i, low = next(iter(terms))
-        weight = i + 2 * low
-        for (i, j), c in terms.items():
-            if i + 2 * j != weight or type(c) is not int:
-                return None
-            if j < low:
-                low = j
-        shapes.append((weight, low, max(map(abs, terms.values())).bit_length()))
-    (wa, ja, top_a), (wb, jb, top_b) = shapes[0], shapes[-1]
-    s = top_a + top_b + min(len(a), len(b)).bit_length() + 1
+    shape_a = _grade(a)
+    if shape_a is None:
+        return None
+    shape_b = shape_a if a is b else _grade(b)
+    if shape_b is None:
+        return None
+    (wa, ja, bits_a), (wb, jb, bits_b) = shape_a, shape_b
+    bits = bits_a + bits_b + min(len(a), len(b)).bit_length()
+    weight, low = wa + wb, ja + jb
+    lazy = weight // 2 - low + 1 >= _LAZY_MIN_SLOTS
+    s = -(-(bits + 1 + _LAZY_SPARE) // _LAZY_RUNG) * _LAZY_RUNG if lazy else bits + 1
     packed = _pack(a, s, ja)
     # one int object twice: CPython squares it (F_126's packed int: 38 us, against 59 us)
     product = packed * (packed if a is b else _pack(b, s, jb))
-    return _unpack(product, s, wa + wb, ja + jb)
+    if lazy:
+        return _lazy((product, s, weight, low, bits))
+    return _poly(_unpack(product, s, weight, low))
+
+
+class _LazyPoly(BivarPoly):
+    """A product kept as its Kronecker image until its terms are read.
+
+    ``_image`` is ``(packed, s, weight, low, bits)``: the polynomial of one
+    weight whose coefficient of y^j sits in slot ``j - low`` of ``packed`` at
+    width ``s`` (see :func:`_pack`), every coefficient below 2^bits in
+    magnitude, and ``bits < s``.  ``_terms`` stays unset, so the first read
+    of it, by any method of the base class, reaches :meth:`__getattr__`,
+    which unpacks the image, frees it and makes the value a plain
+    :class:`BivarPoly`.  The methods here run on the ints where the result's
+    bound still fits the width: a product with an int polynomial of one
+    weight, or with a value deferred at the same width; a sum, and ``==``,
+    of two values deferred at one width and one weight.  Anything else
+    unpacks and takes the base class's method, so values, coefficient types
+    and hashes are those of the eager product.  Being a subclass that
+    overrides them, its reflected operators run first in ``plain * value``,
+    ``plain + value`` and ``plain == value``.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name != "_terms":
+            raise AttributeError(name)
+        image = self._image
+        if image is None:  # another thread unpacked it since this one looked
+            return self._terms
+        packed, s, weight, low, _ = image
+        terms = self._terms = _unpack(packed, s, weight, low)
+        self._image = None
+        self.__class__ = BivarPoly
+        return terms
+
+    def __mul__(self, other: object) -> BivarPoly:
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        product = _lazy_product(self, rhs)
+        return BivarPoly.__mul__(self, rhs) if product is None else product
+
+    def __rmul__(self, other: object) -> BivarPoly:
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        product = _lazy_product(self, rhs)
+        # the operands in the eager order: the dict loop's order of accumulation
+        # decides the coefficient types of a mixed int/Fraction product
+        return BivarPoly.__mul__(rhs, self) if product is None else product
+
+    def __add__(self, other: object) -> BivarPoly:
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        pair = _aligned(self, rhs)
+        if pair is None or pair[5] + 1 >= pair[2]:
+            return BivarPoly.__add__(self, rhs)
+        a, b, s, weight, low, bits = pair
+        return _lazy((a + b, s, weight, low, bits + 1))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> BivarPoly:
+        image = self._image
+        if image is None:
+            return BivarPoly.__neg__(self)
+        packed, s, weight, low, bits = image
+        return _lazy((-packed, s, weight, low, bits))
+
+    def __eq__(self, other: object) -> bool:
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        pair = _aligned(self, rhs)
+        if pair is None:
+            return BivarPoly.__eq__(self, rhs)
+        # each coefficient fits its signed slot, so equal ints are equal terms
+        return pair[0] == pair[1]
+
+    __hash__ = BivarPoly.__hash__
+
+
+def _lazy(image: tuple) -> BivarPoly:
+    """The deferred value of ``image``, as :class:`_LazyPoly` describes it."""
+    value = _LazyPoly.__new__(_LazyPoly)
+    value._image = image
+    return value
+
+
+def _lazy_product(lazy: BivarPoly, other: BivarPoly) -> BivarPoly | None:
+    """lazy*other multiplied at lazy's width and deferred, or None where it does not fit.
+
+    ``other`` must be an int polynomial of one weight, or a value deferred at
+    that width.  The bound is that of :func:`_packed_product`, with the
+    slots from ``low`` to ``weight // 2`` counting the terms of a deferred
+    value.
+    """
+    image = lazy._image
+    if image is None:
+        return None
+    packed, s, weight, low, bits = image
+    if type(other) is _LazyPoly:
+        other_image = other._image
+        if other_image is None or other_image[1] != s:
+            return None
+        other_packed, _, other_weight, other_low, other_bits = other_image
+        count = other_weight // 2 - other_low + 1
+    else:
+        terms = other._terms
+        shape = _grade(terms) if terms else None
+        if shape is None:
+            return None
+        other_weight, other_low, other_bits = shape
+        other_packed, count = None, len(terms)
+    bits += other_bits + min(count, weight // 2 - low + 1).bit_length()
+    if bits >= s:
+        return None
+    if other_packed is None:
+        other_packed = _pack(terms, s, other_low)
+    return _lazy((packed * other_packed, s, weight + other_weight, low + other_low, bits))
+
+
+def _aligned(a: BivarPoly, b: BivarPoly) -> tuple | None:
+    """The packed ints of a and b over one lowest y-exponent, with s, weight, that
+    exponent and the larger bound, where both are deferred at one width and one
+    weight; else None."""
+    if type(a) is not _LazyPoly or type(b) is not _LazyPoly:
+        return None
+    image_a, image_b = a._image, b._image
+    if image_a is None or image_b is None or image_a[1:3] != image_b[1:3]:
+        return None
+    packed_a, s, weight, low_a, bits_a = image_a
+    packed_b, _, _, low_b, bits_b = image_b
+    low = min(low_a, low_b)
+    return (
+        packed_a << s * (low_a - low),
+        packed_b << s * (low_b - low),
+        s,
+        weight,
+        low,
+        max(bits_a, bits_b),
+    )
 
 
 def _pack(terms: Mapping[Monomial, int], s: int, low: int = 0) -> int:
@@ -299,7 +479,12 @@ def _unpack(packed: int, s: int, weight: int, low: int = 0) -> dict[Monomial, in
     lie in [-2^(s-1), 2^(s-1)).  ``digit | 0`` stores each coefficient in an
     int of its own length: the one ``&`` makes is as long as the mask, which
     took up to 17% more memory than the ring product's terms where s is wide.
+    A width below 2, where every 1 digit would borrow forever, and a nonzero
+    slot past y^(weight // 2), which a coefficient too wide for its slot
+    carries into, raise ValueError.
     """
+    if s < 2:
+        raise ValueError(f"slot width must be at least 2, got {s}")
     mask, half, full = (1 << s) - 1, 1 << (s - 1), 1 << s
     cut = _UNPACK_SLOTS * s
     j = low
@@ -321,6 +506,9 @@ def _unpack(packed: int, s: int, weight: int, low: int = 0) -> dict[Monomial, in
         # what the cut's top digit borrows from the slots above it, 0 or 1
         packed += chunk
         j = end
+    # slots are read in order, so the last term has the highest y-exponent
+    if out and next(reversed(out))[1] > weight // 2:
+        raise ValueError(f"a coefficient overflows its slot of width {s}")
     return out
 
 

@@ -111,14 +111,16 @@ _WALKS_MAX = 64
 def _size(value) -> int:
     """Estimated bytes of a term or a packed int.
 
-    ``_MONOMIAL_BYTES`` per monomial or plain number, plus bits / 8.
+    ``_MONOMIAL_BYTES`` per monomial or plain number, plus bits / 8.  A
+    deferred product (``poly._LazyPoly``) is a :class:`BivarPoly`, measured
+    by its terms.
     """
     kind = type(value)
     if kind is int:  # packed ints, and every term at an integral point
         return _MONOMIAL_BYTES + value.bit_length() // 8
     if kind is QuadExtElem:
         return _size(value.a) + _size(value.b)
-    numbers = value._terms.values() if kind is BivarPoly else (value,)
+    numbers = value._terms.values() if isinstance(value, BivarPoly) else (value,)
     try:
         bits = sum(map(int.bit_length, numbers))
     except TypeError:  # a Fraction among them
@@ -149,7 +151,7 @@ def _shape(kind: SeqKind, x_arg, y_arg) -> _Shape | None:
     q weigh w - 1.  Every term is then weighted-homogeneous, so x -> 1,
     y -> 2^s packs each part of it into one int without loss.
     """
-    if type(y_arg) is not BivarPoly or type(x_arg) not in (BivarPoly, QuadExtElem):
+    if not isinstance(y_arg, BivarPoly) or not isinstance(x_arg, (BivarPoly, QuadExtElem)):
         return None
     quad = type(x_arg) is QuadExtElem
     p, q = (x_arg.a, x_arg.b) if quad else (x_arg, ZERO)
@@ -334,13 +336,14 @@ def _types(value):
     """The type of value, with the coefficient types of a ring element.
 
     Equal values can differ here (x with coefficient 1 or Fraction(1)), and
-    their terms would differ in the same way.
+    their terms would differ in the same way.  A deferred product is a
+    :class:`BivarPoly` here too.
     """
     kind = type(value)
     if kind is QuadExtElem:
         return kind, _types(value.a), _types(value.b)
-    if kind is BivarPoly:
-        return kind, frozenset(map(type, value._terms.values()))
+    if isinstance(value, BivarPoly):
+        return BivarPoly, frozenset(map(type, value._terms.values()))
     return kind
 
 
@@ -488,7 +491,7 @@ def _grading(entries: tuple) -> tuple[int, int] | None:
     """
     weights = []
     for entry in entries:
-        if type(entry) is not BivarPoly or any(type(c) is not int for c in entry._terms.values()):
+        if not isinstance(entry, BivarPoly) or any(type(c) is not int for c in entry._terms.values()):
             return None
         found = {i + 2 * j for i, j in entry._terms}
         if len(found) > 1:
@@ -517,7 +520,8 @@ def matrix_pow(m: PolyMatrix2, n: int) -> PolyMatrix2:
     Each entry of m^n is graded, so its terms are fixed by their y-exponents,
     and a coefficient is at most the entry of N^n, N the matrix of the
     entries' coefficient 1-norms; s is one bit more than N^n's largest
-    entry, so each coefficient fits its signed slot and unpacks exactly.
+    entry, so each coefficient fits its signed slot and unpacks exactly
+    (and 2 where N^n is zero, the narrowest width that ``_unpack`` takes).
     The result has binary squaring's terms and int coefficients.  Every
     other matrix (extension-ring, Fraction or int entries, no grading) is
     raised by binary squaring in its own ring.
@@ -529,7 +533,7 @@ def matrix_pow(m: PolyMatrix2, n: int) -> PolyMatrix2:
     w, d = grading
     # n >= 2, so binary_power never returns its identity argument
     norms = binary_power(PolyMatrix2(*(sum(map(abs, e._terms.values())) for e in entries)), n, None)
-    s = max(norms.e11, norms.e12, norms.e21, norms.e22).bit_length() + 1
+    s = max(norms.e11, norms.e12, norms.e21, norms.e22, 1).bit_length() + 1
     packed = binary_power(PolyMatrix2(*(_pack(e._terms, s) for e in entries)), n, None)
     return _unpack_matrix(packed, s, n * w, d)
 

@@ -14,11 +14,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from fibluc import cli, sequences
+from fibluc import BivarPoly, cli, sequences
 from fibluc.cli import main, run
 from fibluc.idlang import MAX_DEPTH
 from fibluc.sequences import SeqKind, seq, seq_terms
-from oracles import int_seq
+from oracles import d_add, d_mul, int_seq, poly_fib
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +46,14 @@ def test_eval_at_point(capsys):
     code, out, _ = run_cli(capsys, "eval", "F", "10", "--at", "1,1")
     assert code == 0
     assert out.strip() == "55"
+
+
+def test_a_deferred_product_as_a_substituted_argument(capsys):
+    # F_40 * F_41 stays packed until read; the term store reads it as the polynomial it is
+    code, out, _ = run_cli(capsys, "eval", "L", "3", "--xsub", "F[40]*F[41]")
+    a = d_mul(poly_fib(40), poly_fib(41))
+    assert code == 0
+    assert out == f"{BivarPoly(d_add(d_mul(d_mul(a, a), a), d_mul({(0, 1): 3}, a)))}\n"
 
 
 def test_an_integral_point_computes_on_ints(capsys, monkeypatch):

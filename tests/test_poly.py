@@ -1,5 +1,7 @@
 """Exact polynomial and extension-ring arithmetic."""
 
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -24,7 +26,7 @@ from fibluc import (
 )
 from fibluc import poly
 from fibluc._seqcache import fib_poly, luc_poly
-from fibluc.poly import _packed_product, binary_power
+from fibluc.poly import _LazyPoly, _lazy, _pack, _packed_product, _unpack, binary_power
 from oracles import d_add, d_mul, poly_fib, poly_luc
 
 # Random sparse polynomials: at most 8 terms, exponents <= 6, coefficients
@@ -159,7 +161,7 @@ def test_a_square_packs_its_operand_once(p):
         assert square == _packed_product(terms, dict(terms))
         # the dict loop's product, with packing declined
         patch.setattr("fibluc.poly._packed_product", lambda a, b: None)
-        assert square == (p * p).terms == d_mul(terms, terms)
+        assert square.terms == (p * p).terms == d_mul(terms, terms)
 
 
 def test_a_stored_value_times_itself_is_packed_once(monkeypatch):
@@ -235,7 +237,243 @@ def test_mul_tries_packing_only_for_large_products(monkeypatch, p, q, tried):
 @pytest.mark.parametrize("n, m", [(16, 17), (20, 21), (40, 7), (120, 121)])
 def test_fibonacci_times_lucas_is_packed(n, m):
     a, b = fib_poly(n).terms, luc_poly(m).terms
-    assert _packed_product(a, b) == d_mul(a, b)
+    assert _packed_product(a, b).terms == d_mul(a, b)
+
+
+def test_unpack_refuses_a_width_below_two():
+    # at width 1 every 1 digit borrows, and the loop would never end
+    for s in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"slot width must be at least 2, got {s}"):
+            _unpack(1, s, 0)
+
+
+def test_unpack_refuses_a_coefficient_too_wide_for_its_slot():
+    # 128 does not fit a signed 8-bit slot: it reads as -128 and carries into y^3,
+    # past the last y-exponent of weight 4
+    packed = _pack({(4, 0): 1, (0, 2): 128}, 8)
+    with pytest.raises(ValueError, match="a coefficient overflows its slot of width 8"):
+        _unpack(packed, 8, 4)
+    # a deferred value whose bound is one bit short raises when its terms are read
+    with pytest.raises(ValueError, match="overflows"):
+        _lazy((packed, 8, 4, 0, 7)).terms
+    assert _unpack(_pack({(4, 0): 1, (0, 2): 128}, 9), 9, 4) == {(4, 0): 1, (0, 2): 128}
+
+
+# -- deferred (lazy) products ---------------------------------------------------
+
+
+def test_a_large_product_stays_packed_until_its_terms_are_read():
+    a, b = fib_poly(40), fib_poly(41)  # 40 slots, past the floor
+    product = a * b
+    assert type(product) is _LazyPoly and product._image is not None
+    assert product.terms == d_mul(a.terms, b.terms)
+    # the first read unpacks it once for good and frees the image
+    assert type(product) is BivarPoly and product._image is None
+    assert {type(c) for c in product.terms.values()} == {int}
+    # a product of fewer slots is unpacked at once, at its exact width
+    assert type(fib_poly(20) * luc_poly(21)) is BivarPoly
+
+
+def _deferred(n, m):
+    """F_n * L_m, a fresh deferred product."""
+    product = fib_poly(n) * luc_poly(m)
+    assert type(product) is _LazyPoly
+    return product
+
+
+def test_operations_with_a_plain_left_operand_run_on_the_deferred_value():
+    expected = d_mul(poly_fib(40), poly_luc(41))
+    # a monomial scaling and an int scaling stay packed, from either side
+    for scaled, factor in [((-Y) ** 3 * _deferred(40, 41), {(0, 3): -1}), (3 * _deferred(40, 41), {(0, 0): 3})]:
+        assert type(scaled) is _LazyPoly
+        assert scaled.terms == d_mul(expected, factor)
+    product = _deferred(40, 41)
+    assert X**0 * product == product == BivarPoly(expected)
+    assert type(product) is BivarPoly  # compared with a plain value: unpacked
+    assert hash(_deferred(40, 41)) == hash(BivarPoly(expected))
+    assert len({_deferred(40, 41), BivarPoly(expected)}) == 1
+
+
+def test_a_mixed_coefficient_product_keeps_the_eager_coefficient_types():
+    # the dict loop's order of accumulation decides int or Fraction here
+    mixed = BivarPoly({(2, 0): 1, (0, 1): Fraction(1, 2), (1, 0): 3, (0, 0): Fraction(4)})
+    eager = BivarPoly(_deferred(40, 41).terms)
+    for lazy_side, eager_side in [
+        (mixed * _deferred(40, 41), mixed * eager),
+        (_deferred(40, 41) * mixed, eager * mixed),
+        (mixed + _deferred(40, 41), mixed + eager),
+    ]:
+        assert {m: (c, type(c)) for m, c in lazy_side.terms.items()} == {
+            m: (c, type(c)) for m, c in eager_side.terms.items()
+        }
+
+
+def test_deferred_values_compare_as_ints_only_at_one_width_and_one_weight():
+    x2, x4, y = _lazy((1, 64, 2, 0, 1)), _lazy((1, 64, 4, 0, 1)), _lazy((1, 64, 2, 1, 1))
+    # one packed int, three polynomials: x^2, x^4 and y
+    assert x2 != x4 and x2 != y
+    assert (x2, x4, y) == (X**2, X**4, Y)
+    # y over its lowest exponent 1, or over 0 at one slot up: equal, compared packed
+    y_low_0, y_low_1 = _lazy((1 << 64, 64, 2, 0, 1)), _lazy((1, 64, 2, 1, 1))
+    assert y_low_0 == y_low_1
+    assert type(y_low_0) is type(y_low_1) is _LazyPoly
+    # x^2 at two widths: unpacked, then compared
+    wide, narrow = _lazy((1, 96, 2, 0, 1)), _lazy((1, 64, 2, 0, 1))
+    assert wide == narrow
+    assert type(wide) is type(narrow) is BivarPoly
+
+
+def test_threads_reading_and_using_one_deferred_value_get_its_terms():
+    # the first read of the terms unpacks the value in place, while other
+    # threads may be in its methods: each must still see the one polynomial
+    expected = d_mul(poly_fib(60), poly_luc(61))
+    doubled = d_mul({(0, 0): 2}, expected)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            product, seen = _deferred(60, 61), {}
+            barrier = threading.Barrier(4)
+
+            def use(i):
+                barrier.wait()
+                seen[i] = (product + product if i % 2 else product).terms
+
+            threads = [threading.Thread(target=use, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert [seen[i] for i in range(4)] == [expected, doubled] * 2
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@st.composite
+def graded_operands(draw):
+    """Three int polynomials of one weight, each of 8 to 24 terms, so that a
+    product of two is packed and spans past the floor.  Coefficients are
+    drawn near one bit bound t: 2^t - 1 and -2^t or anything between, and the
+    third operand may be the first with alternating signs, whose product
+    with the first cancels its middle terms."""
+    weight = draw(st.integers(64, 90))
+    t = draw(st.integers(1, 70))
+    coeffs = st.one_of(st.sampled_from([2**t - 1, -(2**t - 1), -(2**t)]), st.integers(-(2**t), 2**t))
+    operands = []
+    for _ in range(3):
+        js = draw(st.lists(st.integers(0, weight // 2), min_size=8, max_size=24, unique=True))
+        operands.append({j: draw(coeffs.filter(bool)) for j in js})
+    if draw(st.booleans()):
+        operands[2] = {j: (-1) ** j * c for j, c in operands[0].items()}
+    return [_homogeneous(weight, terms) for terms in operands]
+
+
+@st.composite
+def _chain_ops(draw):
+    """Up to six ops of a chain, each a name and indices of earlier values, with
+    a scalar or a monomial term where the op takes one."""
+    ops = []
+    for _ in range(draw(st.integers(0, 6))):
+        op, i = draw(st.sampled_from(_OPS)), draw(_INDEX)
+        if op in ("mul", "add", "sub", "eq"):
+            ops.append((op, i, draw(_INDEX)))
+        elif op == "scale":
+            ops.append((op, i, draw(st.integers(-(2**40), 2**40))))
+        elif op == "monomial":
+            term = draw(monomials), draw(st.integers(-9, 9).filter(bool)), draw(st.booleans())
+            ops.append((op, i, *term))
+        else:
+            ops.append((op, i))
+    return ops
+
+
+_OPS = ["mul", "add", "sub", "eq", "square", "neg", "scale", "monomial"]
+_INDEX = st.integers(0, 11)
+
+
+def _run_chain(operands, ops):
+    """The values of a chain: the operands, their three products of two, then
+    one value per op.
+
+    Each op reads earlier values by index, modulo their count; ``eq`` records
+    a comparison instead.  No op reads terms, so deferred values stay packed
+    wherever the bounds allow.
+    """
+    p, q, r = operands
+    values = [p, q, r, p * q, p * r, q * r]
+    compared = []
+    for op, i, *rest in ops:
+        a = values[i % len(values)]
+        b = values[rest[0] % len(values)] if op in ("mul", "add", "sub", "eq") else None
+        if op == "eq":
+            compared.append(a == b)
+            continue
+        if op == "mul":
+            value = a * b
+        elif op == "add":
+            value = a + b
+        elif op == "sub":
+            value = a - b
+        elif op == "square":
+            value = a * a
+        elif op == "neg":
+            value = -a
+        elif op == "scale":
+            value = rest[0] * a
+        else:
+            (e, f), c, left = rest
+            term = BivarPoly({(e, f): c})
+            value = term * a if left else a * term
+        values.append(value)
+    return values, compared
+
+
+def _oracle_chain(operands, ops):
+    """The term dicts and comparisons of :func:`_run_chain`, on the schoolbook oracle."""
+    p, q, r = (value.terms for value in operands)
+    values = [p, q, r, d_mul(p, q), d_mul(p, r), d_mul(q, r)]
+    compared = []
+    for op, i, *rest in ops:
+        a = values[i % len(values)]
+        b = values[rest[0] % len(values)] if op in ("mul", "add", "sub", "eq") else None
+        if op == "eq":
+            compared.append(a == b)
+            continue
+        if op == "mul":
+            value = d_mul(a, b)
+        elif op == "add":
+            value = d_add(a, b)
+        elif op == "sub":
+            value = d_add(a, {m: -c for m, c in b.items()})
+        elif op == "square":
+            value = d_mul(a, a)
+        elif op == "neg":
+            value = {m: -c for m, c in a.items()}
+        elif op == "scale":
+            value = d_mul({(0, 0): rest[0]}, a) if rest[0] else {}
+        else:
+            (e, f), c, _ = rest
+            value = d_mul({(e, f): c}, a)
+        values.append(value)
+    return values, compared
+
+
+@given(graded_operands(), _chain_ops())
+def test_deferred_chains_match_the_oracle_and_the_eager_path(operands, ops):
+    assert type(operands[0] * operands[1]) is _LazyPoly
+    values, compared = _run_chain(operands, ops)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poly, "_LAZY_MIN_SLOTS", 1 << 30)  # every product unpacked at once
+        eager, eager_compared = _run_chain(operands, ops)
+    oracle, oracle_compared = _oracle_chain(operands, ops)
+    assert compared == eager_compared == oracle_compared
+    for value, plain, expected in zip(values, eager, oracle):
+        assert type(plain) is BivarPoly
+        assert value == plain
+        assert hash(value) == hash(plain)
+        assert value.terms == plain.terms == expected
+        assert {type(c) for c in value.terms.values()} <= {int}
 
 
 # -- powers ---------------------------------------------------------------------

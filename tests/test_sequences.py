@@ -39,7 +39,7 @@ from fibluc import (
 )
 from fibluc import cli, evaluate, identities, parse_expression, sequences
 from fibluc._seqcache import fib_poly, luc_poly
-from fibluc.poly import binary_power
+from fibluc.poly import _LazyPoly, binary_power
 from oracles import d_add, d_mul, int_seq, poly_fib, poly_luc
 
 
@@ -970,6 +970,63 @@ def test_binomial_sum_keeps_the_ring_loop_for_other_operands(a, b):
         total, ring = sequences.binomial_sum(m, a, b), sequences._binomial_horner(m, a, b)
         assert total == ring
         assert sequences._types(total) == sequences._types(ring)
+
+
+# -- deferred products as arguments -------------------------------------------------
+
+
+def _deferred_product(n, m):
+    """F_n * F_m and its terms, of weight n + m - 2: 40 slots at n + m = 81, so
+    the product stays packed until its terms are read."""
+    value = fib_poly(n) * fib_poly(m)
+    assert type(value) is _LazyPoly
+    return value, d_mul(poly_fib(n), poly_fib(m))
+
+
+def _oracle_seq(kind, n, a, b):
+    """u_n(a, b) on term dicts, by the recurrence."""
+    prev, cur = ({}, {(0, 0): 1}) if kind is SeqKind.FIB else ({(0, 0): 2}, a)
+    for _ in range(n):
+        prev, cur = cur, d_add(d_mul(a, cur), d_mul(b, prev))
+    return prev
+
+
+def test_a_deferred_product_as_a_seq_argument_fills_on_packed_ints(monkeypatch):
+    monkeypatch.setattr(sequences, "_pairs", {})
+    monkeypatch.setattr(sequences, "_pairs_size", 0)
+    steps = counting(monkeypatch, "_packed_next_term")
+    # y_arg weighs twice x_arg's 79, so the list fills packed
+    x_arg, x_terms = _deferred_product(40, 41)
+    plain = BivarPoly({mono: int(c) for mono, c in x_terms.items()})
+    assert sequences._size(x_arg) == sequences._size(plain)
+    assert sequences._types(_deferred_product(40, 41)[0]) == sequences._types(plain)
+    assert sequences._shape(SeqKind.FIB, _deferred_product(40, 41)[0], -(Y**79)) is not None
+    for kind in [*SeqKind, SeqKind.FIB]:
+        value = seq(kind, 3, x_arg, -(Y**79))
+        assert value.terms == _oracle_seq(kind, 3, x_terms, {(0, 79): -1})
+    # one entry per kind: the deferred argument and its unpacked self share a key
+    assert [entry.shape is not None for entry in sequences._pairs.values()] == [True, True]
+    assert len(steps) == 4  # u_2 and u_3 of each kind
+
+
+def test_a_deferred_product_as_a_binomial_sum_operand_sums_on_packed_ints(monkeypatch):
+    sums = []
+    real = sequences._binomial_horner
+    monkeypatch.setattr(sequences, "_binomial_horner", lambda m, a, b: sums.append(type(a)) or real(m, a, b))
+    # both of weight 79
+    (a, a_terms), (b, b_terms) = _deferred_product(40, 41), _deferred_product(39, 42)
+    total = sequences.binomial_sum(7, a, -b)
+    assert total.terms == _oracle_binomial_sum(7, a_terms, {m: -c for m, c in b_terms.items()})
+    assert sums == [int, int]  # the bound on the 1-norms, then the packed sum
+
+
+def test_a_deferred_product_as_a_matrix_entry_powers_on_packed_ints(monkeypatch):
+    unpacks = counting(monkeypatch, "_unpack_matrix")
+    entry, terms = _deferred_product(40, 41)
+    power = matrix_pow(PolyMatrix2(entry, X, ZERO, ZERO), 3)
+    expected = _oracle_powers(PolyMatrix2(BivarPoly(terms), X, ZERO, ZERO), 3)[3]
+    assert tuple(e.terms for e in _entries(power)) == expected
+    assert len(unpacks) == 1
 
 
 @pytest.mark.parametrize("name,matrix", [("A", matrix_A()), ("B", matrix_B()), ("BA", matrix_BA())])
