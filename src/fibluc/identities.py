@@ -21,7 +21,7 @@ from .report import CellResult, CheckReport, DomainError, check_cell, grid_axis,
 from .sequences import (
     PolyMatrix2,
     SeqKind,
-    _unpack_matrix,
+    _packed_run,
     binomial,
     binomial_sum,
     matrix_A,
@@ -74,19 +74,19 @@ def _binomial_matrix_sum(n: int, shift: int = 0) -> PolyMatrix2:
 
     With c_k = C(n, k) (2y)^(n-k) x^k, T starts at zero and each step for
     k = n .. 0 is T -> T*A + c_k I; the sum is T*A^shift.  Every entry is
-    graded: c_k A^k weighs 2n, 2n - 1, 2n + 1 and 2n, so T runs on ints at
-    x -> 1, y -> 2^s (:func:`_binomial_matrix_image`) and unpacks once per
-    entry, as :func:`sequences.matrix_pow` does.  Every coefficient is
-    nonnegative, so the image at s = 0, the value at (1, 1), bounds it, and
-    s is one bit more than that image's largest entry.
+    graded: c_k A^k weighs 2n, 2n - 1, 2n + 1 and 2n, so T runs on packed
+    ints (:func:`_binomial_matrix_image`, through
+    :func:`sequences._packed_run`, with no values to pack).  Every
+    coefficient is nonnegative, so the image at s = 0, the value at (1, 1),
+    is the exact bound.
     """
-    bound = _binomial_matrix_image(n, shift, 0)
-    s = max(bound.e11, bound.e12, bound.e21, bound.e22).bit_length() + 1
-    return _unpack_matrix(_binomial_matrix_image(n, shift, s), s, 2 * n + shift, -1)
+    w = 2 * n + shift
+    sums = _packed_run(lambda s: _binomial_matrix_image(n, shift, s), (), (w, w - 1, w + 1, w))
+    return PolyMatrix2(*sums)
 
 
-def _binomial_matrix_image(n: int, shift: int, s: int) -> PolyMatrix2:
-    """The four ints of :func:`_binomial_matrix_sum` at x -> 1, y -> 2^s.
+def _binomial_matrix_image(n: int, shift: int, s: int) -> tuple[int, int, int, int]:
+    """The four ints of :func:`_binomial_matrix_sum` at x -> 1, y -> 2^s, row by row.
 
     Right multiplication by A = [[x, 1], [y, 0]] maps each row (t1, t2) of
     T to (x*t1 + y*t2, t1), here (t1 + (t2 << s), t1), and c_k is
@@ -100,7 +100,7 @@ def _binomial_matrix_image(n: int, shift: int, s: int) -> PolyMatrix2:
     total = PolyMatrix2(t11, t12, t21, t22)
     if shift:
         total = total * binary_power(PolyMatrix2(1, 1, 1 << s, 0), shift, None)
-    return total
+    return total.e11, total.e12, total.e21, total.e22
 
 
 # -- the catalog --------------------------------------------------------------

@@ -8,11 +8,10 @@ Zero coefficients are never stored, so two polynomials are equal exactly
 when their term mappings coincide, and ``==`` decides polynomial identity.
 Large products of weighted-homogeneous integer polynomials (every term has
 the same weight ``i + 2*j``, as in F_n and L_n) are computed with one
-integer multiply (Kronecker packing); results are unchanged.  A product that
-spans at least ``_LAZY_MIN_SLOTS`` slots stays packed until its terms are
-read: products, sums, negations and ``==`` of such values run on the packed
-ints where the bounds allow, and the first read of the terms unpacks it
-once (see :class:`_LazyPoly`).  A square,
+integer multiply (Kronecker packing); results are unchanged.  Such a product
+stays packed until its terms are read: products, sums, negations and ``==``
+of such values run on the packed ints where the bounds allow, and the first
+read of the terms unpacks it once (see :class:`_LazyPoly`).  A square,
 one operand times itself (as binary squaring and repeated reads of one
 stored term give), packs that operand once and squares the int.  Operands
 that the substituted arguments of the identities make often skip the
@@ -145,7 +144,7 @@ class BivarPoly(_Ring):
         elif (
             len(few) >= _PACK_MIN_TERMS
             and len(a) * len(b) >= _PACK_MIN_PAIRS
-            and (product := _packed_product(a, b)) is not None
+            and (product := _packed_product(self, rhs)) is not None
         ):
             return product
         else:
@@ -186,6 +185,10 @@ class BivarPoly(_Ring):
 
     def __bool__(self) -> bool:
         return bool(self._terms)
+
+    def __reduce__(self):
+        # pickle and copy rebuild a plain polynomial: a deferred product unpacks
+        return BivarPoly, (self._terms,)
 
     # -- substitution and evaluation ---------------------------------------
 
@@ -246,15 +249,11 @@ def _poly(terms: dict[Monomial, _Coeff]) -> BivarPoly:
 _PACK_MIN_TERMS = 3
 _PACK_MIN_PAIRS = 64
 
-#: Fewest slots (y-exponents from the lowest to ``weight // 2``) of a packed
-#: product that stays packed as a :class:`_LazyPoly`; a product with fewer is
-#: unpacked at once, at the exact width, where deferring cost more than it
-#: saved.  A deferred width is the bound plus 1 plus ``_LAZY_SPARE`` bits,
-#: rounded up to a multiple of ``_LAZY_RUNG``: the products of one side of
-#: an identity, whose bounds differ by a few bits, then usually share one
-#: width, and the spare bits hold what the scalings and sums that follow
-#: add (``L*L - (x^2+4y)*F^2`` adds 6), so they too stay on the ints.
-_LAZY_MIN_SLOTS = 32
+#: A packed product's width is its bound plus 1 plus ``_LAZY_SPARE`` bits,
+#: rounded up to a multiple of ``_LAZY_RUNG``: the products of one side of an
+#: identity, whose bounds differ by a few bits, then usually share one width,
+#: and the spare bits hold what the scalings and sums that follow add
+#: (``L*L - (x^2+4y)*F^2`` adds 6), so they too stay on the ints.
 _LAZY_SPARE = 8
 _LAZY_RUNG = 32
 
@@ -275,38 +274,57 @@ def _grade(terms: Mapping[Monomial, _Coeff]) -> tuple[int, int, int] | None:
     return weight, low, max(map(abs, terms.values())).bit_length()
 
 
-def _packed_product(a: Mapping[Monomial, _Coeff], b: Mapping[Monomial, _Coeff]) -> BivarPoly | None:
-    """a*b by Kronecker substitution, or None where it does not apply.
+def _graded(value: BivarPoly) -> tuple | None:
+    """(packed, s, weight, low, bits, count) of a nonzero int polynomial of one weight, else None.
 
-    Both operands must be nonempty.  It applies when every coefficient is an
-    ``int`` and each operand is weighted-homogeneous (see :func:`_grade`).  A
-    term is then fixed by its y-exponent, so each operand packs into the int
-    ``sum(c << s*(j - j_min))`` and the digits of the one product are the
-    coefficients of a*b.  An output coefficient is a sum of at most
-    ``min(len(a), len(b))`` products, so it lies below 2^bits with bits the
-    operands' bounds plus the bit length of that count, and a slot of width
-    ``bits + 1`` holds it with its sign.  A product of at least
-    ``_LAZY_MIN_SLOTS`` slots is packed at the wider width set out there and
-    returned deferred; any other is unpacked at once.  A square (``a is b``)
-    packs its operand once and squares the int.
+    A deferred value gives its image and counts its slots, from ``low`` to
+    ``weight // 2``; a plain one gives no packed int, width 0, its
+    :func:`_grade` and its number of terms.
     """
-    shape_a = _grade(a)
+    image = value._image if type(value) is _LazyPoly else None
+    if image is not None:
+        return (*image, image[2] // 2 - image[3] + 1)
+    terms = value._terms
+    grade = _grade(terms) if terms else None
+    return None if grade is None else (None, 0, *grade, len(terms))
+
+
+def _packed_product(a: BivarPoly, b: BivarPoly) -> BivarPoly | None:
+    """a*b by Kronecker substitution, deferred, or None where it does not apply.
+
+    It applies when each operand, plain or deferred, is a nonzero
+    weighted-homogeneous int polynomial (see :func:`_graded`).  A term is
+    then fixed by its y-exponent, so each operand packs into the int
+    ``sum(c << s*(j - low))`` and the digits of the one product are the
+    coefficients of a*b.  An output coefficient is a sum of at most
+    ``min(count_a, count_b)`` products, so it lies below 2^bits with bits
+    the operands' bounds plus the bit length of that count, and a slot of
+    width ``bits + 1`` holds it with its sign.  The product is taken at the
+    width of a deferred operand where that exceeds bits, on the operand's
+    own int, else at the rounded width set out above, and returned
+    deferred.  A square (``a is b``) packs its operand once and squares the
+    int.
+    """
+    shape_a = _graded(a)
     if shape_a is None:
         return None
-    shape_b = shape_a if a is b else _grade(b)
+    shape_b = shape_a if a is b else _graded(b)
     if shape_b is None:
         return None
-    (wa, ja, bits_a), (wb, jb, bits_b) = shape_a, shape_b
-    bits = bits_a + bits_b + min(len(a), len(b)).bit_length()
-    weight, low = wa + wb, ja + jb
-    lazy = weight // 2 - low + 1 >= _LAZY_MIN_SLOTS
-    s = -(-(bits + 1 + _LAZY_SPARE) // _LAZY_RUNG) * _LAZY_RUNG if lazy else bits + 1
-    packed = _pack(a, s, ja)
-    # one int object twice: CPython squares it (F_126's packed int: 38 us, against 59 us)
-    product = packed * (packed if a is b else _pack(b, s, jb))
-    if lazy:
-        return _lazy((product, s, weight, low, bits))
-    return _poly(_unpack(product, s, weight, low))
+    packed_a, s_a, wa, ja, bits_a, count_a = shape_a
+    packed_b, s_b, wb, jb, bits_b, count_b = shape_b
+    bits = bits_a + bits_b + min(count_a, count_b).bit_length()
+    s = s_a if bits < s_a else s_b
+    if bits >= s:
+        s = _LAZY_RUNG * ((bits + _LAZY_SPARE) // _LAZY_RUNG + 1)
+    if s != s_a:
+        packed_a = _pack(a._terms, s, ja)
+    if a is b:
+        # one int object twice: CPython squares it (F_126's packed int: 38 us, against 59 us)
+        packed_b = packed_a
+    elif s != s_b:
+        packed_b = _pack(b._terms, s, jb)
+    return _lazy((packed_a * packed_b, s, wa + wb, ja + jb, bits))
 
 
 class _LazyPoly(BivarPoly):
@@ -318,11 +336,12 @@ class _LazyPoly(BivarPoly):
     magnitude, and ``bits < s``.  ``_terms`` stays unset, so the first read
     of it, by any method of the base class, reaches :meth:`__getattr__`,
     which unpacks the image, frees it and makes the value a plain
-    :class:`BivarPoly`.  The methods here run on the ints where the result's
-    bound still fits the width: a product with an int polynomial of one
-    weight, or with a value deferred at the same width; a sum, and ``==``,
-    of two values deferred at one width and one weight.  Anything else
-    unpacks and takes the base class's method, so values, coefficient types
+    :class:`BivarPoly`.  A product with an int polynomial of one weight, or
+    with another deferred value, is :func:`_packed_product`'s, which stays
+    on this value's int where its width holds the result's bound.  A sum,
+    and ``==``, of two values deferred at one width and one weight run on
+    the ints where the bound allows.  Anything else unpacks and takes the
+    base class's method, so values, coefficient types
     and hashes are those of the eager product.  Being a subclass that
     overrides them, its reflected operators run first in ``plain * value``,
     ``plain + value`` and ``plain == value``.
@@ -346,14 +365,14 @@ class _LazyPoly(BivarPoly):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        product = _lazy_product(self, rhs)
+        product = _packed_product(self, rhs)
         return BivarPoly.__mul__(self, rhs) if product is None else product
 
     def __rmul__(self, other: object) -> BivarPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        product = _lazy_product(self, rhs)
+        product = _packed_product(self, rhs)
         # the operands in the eager order: the dict loop's order of accumulation
         # decides the coefficient types of a mixed int/Fraction product
         return BivarPoly.__mul__(rhs, self) if product is None else product
@@ -395,39 +414,6 @@ def _lazy(image: tuple) -> BivarPoly:
     value = _LazyPoly.__new__(_LazyPoly)
     value._image = image
     return value
-
-
-def _lazy_product(lazy: BivarPoly, other: BivarPoly) -> BivarPoly | None:
-    """lazy*other multiplied at lazy's width and deferred, or None where it does not fit.
-
-    ``other`` must be an int polynomial of one weight, or a value deferred at
-    that width.  The bound is that of :func:`_packed_product`, with the
-    slots from ``low`` to ``weight // 2`` counting the terms of a deferred
-    value.
-    """
-    image = lazy._image
-    if image is None:
-        return None
-    packed, s, weight, low, bits = image
-    if type(other) is _LazyPoly:
-        other_image = other._image
-        if other_image is None or other_image[1] != s:
-            return None
-        other_packed, _, other_weight, other_low, other_bits = other_image
-        count = other_weight // 2 - other_low + 1
-    else:
-        terms = other._terms
-        shape = _grade(terms) if terms else None
-        if shape is None:
-            return None
-        other_weight, other_low, other_bits = shape
-        other_packed, count = None, len(terms)
-    bits += other_bits + min(count, weight // 2 - low + 1).bit_length()
-    if bits >= s:
-        return None
-    if other_packed is None:
-        other_packed = _pack(terms, s, other_low)
-    return _lazy((packed * other_packed, s, weight + other_weight, low + other_low, bits))
 
 
 def _aligned(a: BivarPoly, b: BivarPoly) -> tuple | None:
@@ -627,6 +613,10 @@ class QuadExtElem(_Ring):
 
     def __bool__(self) -> bool:
         return bool(self._a) or bool(self._b)
+
+    def __reduce__(self):
+        # plain parts, also for a shallow copy, which would share a deferred one
+        return QuadExtElem, (BivarPoly(self._a._terms), BivarPoly(self._b._terms))
 
     def __str__(self) -> str:
         """``(a) + (b)*D``, with the D part shown even when it is zero.

@@ -44,7 +44,7 @@ from math import comb
 from typing import Iterator, NamedTuple
 
 from .poly import DISCRIMINANT, ONE, BivarPoly, QuadExtElem, X, Y, ZERO, binary_power
-from .poly import _pack, _poly, _unpack
+from .poly import _grade, _pack, _poly, _unpack
 
 
 class SeqKind(Enum):
@@ -485,18 +485,18 @@ def _grading(entries: tuple) -> tuple[int, int] | None:
     """(w, d) such that the entries e11, e12, e21, e22 weigh w, w + d, w - d, w, or None.
 
     Every entry must be a :class:`BivarPoly` with int coefficients whose
-    terms x^i y^j all have one weight i + 2j; a zero entry fits any weight.
-    Products keep such a grading: the entries of m^n weigh nw, nw + d,
-    nw - d and nw.
+    terms x^i y^j all have one weight i + 2j (see :func:`poly._grade`); a
+    zero entry fits any weight.  Products keep such a grading: the entries
+    of m^n weigh nw, nw + d, nw - d and nw.
     """
     weights = []
     for entry in entries:
-        if not isinstance(entry, BivarPoly) or any(type(c) is not int for c in entry._terms.values()):
+        if not isinstance(entry, BivarPoly):
             return None
-        found = {i + 2 * j for i, j in entry._terms}
-        if len(found) > 1:
+        grade = _grade(entry._terms) if entry else (None,)
+        if grade is None:
             return None
-        weights.append(found.pop() if found else None)
+        weights.append(grade[0])
     w11, w12, w21, w22 = weights
     twice = {2 * w for w in (w11, w22) if w is not None}
     if w12 is not None and w21 is not None:
@@ -510,43 +510,51 @@ def _grading(entries: tuple) -> tuple[int, int] | None:
     return w, (w - w21 if w21 is not None else 0)
 
 
+def _packed_run(run, values: tuple, weights: tuple) -> list[BivarPoly]:
+    """The polynomials of the ints ``run(s, *packs)`` gives, unpacked at ``weights``.
+
+    Each value is an int polynomial of one weight, and ``run`` takes the
+    width s and one int per value and returns one int per weight.  It must
+    compute a polynomial in its ints and in y, which it takes as shifts by
+    s, with nonnegative constants, whose results have the weights given.
+    Packing (x -> 1, y -> 2^s, see :func:`poly._pack`) is a ring
+    homomorphism, so on the values' packed ints it gives the results'
+    images, and at s = 0 on the values' coefficient 1-norms a bound on every
+    coefficient of the results.  s is one bit more than the largest such
+    bound (2 where all are zero, the narrowest width that ``_unpack``
+    takes), so each coefficient fits its signed slot and unpacks exactly,
+    as an int.
+    """
+    norms = [sum(map(abs, value._terms.values())) for value in values]
+    s = max(*run(0, *norms), 1).bit_length() + 1
+    packed = run(s, *[_pack(value._terms, s) for value in values])
+    return [_poly(_unpack(c, s, weight)) for c, weight in zip(packed, weights)]
+
+
 def matrix_pow(m: PolyMatrix2, n: int) -> PolyMatrix2:
     """m**n; n = 0 gives the identity.
 
-    Where m has a grading (see :func:`_grading`) and n >= 2, each entry
-    packs into one int at x -> 1, y -> 2^s, as :func:`poly._pack` does, and
-    the 2x2 int matrix is raised to the n-th power by binary squaring.  The
-    map is a ring homomorphism, so the packed power is the image of m^n.
-    Each entry of m^n is graded, so its terms are fixed by their y-exponents,
-    and a coefficient is at most the entry of N^n, N the matrix of the
-    entries' coefficient 1-norms; s is one bit more than N^n's largest
-    entry, so each coefficient fits its signed slot and unpacks exactly
-    (and 2 where N^n is zero, the narrowest width that ``_unpack`` takes).
-    The result has binary squaring's terms and int coefficients.  Every
-    other matrix (extension-ring, Fraction or int entries, no grading) is
-    raised by binary squaring in its own ring.
+    Where m has a grading (see :func:`_grading`) and n >= 2, the 2x2 matrix
+    of the entries' packed ints is raised to the n-th power by binary
+    squaring, and the entries of m^n, weighing nw, nw + d, nw - d and nw,
+    are unpacked from it (see :func:`_packed_run`: the matrix of the
+    entries' 1-norms raised alike bounds every coefficient).  The result
+    has binary squaring's terms and int coefficients.  Every other matrix
+    (extension-ring, Fraction or int entries, no grading) is raised by
+    binary squaring in its own ring.
     """
     entries = (m.e11, m.e12, m.e21, m.e22)
     grading = _grading(entries) if isinstance(n, int) and n >= 2 else None
     if grading is None:
         return binary_power(m, n, m.identity_like())
     w, d = grading
-    # n >= 2, so binary_power never returns its identity argument
-    norms = binary_power(PolyMatrix2(*(sum(map(abs, e._terms.values())) for e in entries)), n, None)
-    s = max(norms.e11, norms.e12, norms.e21, norms.e22, 1).bit_length() + 1
-    packed = binary_power(PolyMatrix2(*(_pack(e._terms, s) for e in entries)), n, None)
-    return _unpack_matrix(packed, s, n * w, d)
 
+    def run(s, *ints):
+        # n >= 2, so binary_power never returns its identity argument
+        power = binary_power(PolyMatrix2(*ints), n, None)
+        return power.e11, power.e12, power.e21, power.e22
 
-def _unpack_matrix(packed: PolyMatrix2, s: int, w: int, d: int) -> PolyMatrix2:
-    """The matrix whose entries :func:`poly._pack` gives ``packed`` at width s, weighing
-    w, w + d, w - d and w (see :func:`_grading`)."""
-    return PolyMatrix2(
-        _poly(_unpack(packed.e11, s, w)),
-        _poly(_unpack(packed.e12, s, w + d)),
-        _poly(_unpack(packed.e21, s, w - d)),
-        _poly(_unpack(packed.e22, s, w)),
-    )
+    return PolyMatrix2(*_packed_run(run, entries, (n * w, n * w + d, n * w - d, n * w)))
 
 
 def matrix_A() -> PolyMatrix2:
@@ -573,24 +581,25 @@ def binomial_sum(m: int, a, b):
 
     Where ``a`` and ``b`` are int polynomials of one weight w (the diagonal
     matrix of the two has a grading, see :func:`_grading`; a zero fits any
-    weight), every term of the sum weighs w*(m//2), so the sum runs once on
-    ints at x -> 1, y -> 2^s and unpacks once, as :func:`matrix_pow` does.
-    Every C(m-k, k) is nonnegative, so the same sum of the coefficient
-    1-norms of ``a`` and ``b`` bounds every coefficient, and s is one bit
-    more than it.  The result has the ring loop's terms and int
+    weight), every term of the sum weighs w*(m//2), so the sum runs on
+    packed ints (see :func:`_packed_run`: every C(m-k, k) is nonnegative,
+    so the same sum of the 1-norms of ``a`` and ``b`` bounds every
+    coefficient).  The result has the ring loop's terms and int
     coefficients.  Every other pair (extension-ring, Fraction or int values,
-    or two weights) takes the ring loop, one product with ``a`` and one with
-    ``b`` per term.
+    or two weights) takes the ring loop, one product with ``a`` and one
+    with ``b`` per term.  An index that is not a nonnegative int raises
+    ValueError.
     """
+    if not isinstance(m, int):
+        raise ValueError(f"index must be an integer, got {m!r}")
     if m < 0:
         raise ValueError(f"index must be nonnegative, got {m}")
     grading = _grading((a, ZERO, ZERO, b))
     if grading is None:
         return _binomial_horner(m, a, b)
-    norm_a, norm_b = (sum(map(abs, e._terms.values())) for e in (a, b))
-    s = _binomial_horner(m, norm_a, norm_b).bit_length() + 1
-    packed = _binomial_horner(m, _pack(a._terms, s), _pack(b._terms, s))
-    return _poly(_unpack(packed, s, grading[0] * (m // 2)))
+    weight = grading[0] * (m // 2)
+    (total,) = _packed_run(lambda s, *ints: (_binomial_horner(m, *ints),), (a, b), (weight,))
+    return total
 
 
 def _binomial_horner(m: int, a, b):

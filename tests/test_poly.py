@@ -1,5 +1,7 @@
 """Exact polynomial and extension-ring arithmetic."""
 
+import copy
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -18,9 +20,12 @@ from fibluc import (
     Y,
     ZERO,
     BivarPoly,
+    PolyMatrix2,
     SeqKind,
     canonical_text,
     evaluate,
+    matrix_B,
+    matrix_pow,
     parse_expression,
     seq,
 )
@@ -135,7 +140,7 @@ def homogeneous_polys(draw, min_terms=8):
 
 @given(homogeneous_polys(), homogeneous_polys())
 def test_packed_mul_matches_schoolbook(p, q):
-    assert _packed_product(p.terms, q.terms) is not None
+    assert _packed_product(p, q) is not None
     assert (p * q).terms == d_mul(p.terms, q.terms)
 
 
@@ -156,9 +161,9 @@ def test_a_square_packs_its_operand_once(p):
     terms = p.terms
     with pytest.MonkeyPatch.context() as patch:
         packs = _counting_packs(patch)
-        square = _packed_product(terms, terms)
+        square = _packed_product(p, p)
         assert len(packs) == 1
-        assert square == _packed_product(terms, dict(terms))
+        assert square == _packed_product(p, BivarPoly(terms))
         # the dict loop's product, with packing declined
         patch.setattr("fibluc.poly._packed_product", lambda a, b: None)
         assert square.terms == (p * p).terms == d_mul(terms, terms)
@@ -209,7 +214,7 @@ def test_packed_mul_of_large_fibonacci_polynomials():
     ids=["not-homogeneous", "fraction", "fraction-right"],
 )
 def test_products_the_packed_path_declines(p, q):
-    assert _packed_product(p.terms, q.terms) is None
+    assert _packed_product(p, q) is None
     assert (p * q).terms == d_mul(p.terms, q.terms)
 
 
@@ -236,8 +241,8 @@ def test_mul_tries_packing_only_for_large_products(monkeypatch, p, q, tried):
 
 @pytest.mark.parametrize("n, m", [(16, 17), (20, 21), (40, 7), (120, 121)])
 def test_fibonacci_times_lucas_is_packed(n, m):
-    a, b = fib_poly(n).terms, luc_poly(m).terms
-    assert _packed_product(a, b).terms == d_mul(a, b)
+    a, b = fib_poly(n), luc_poly(m)
+    assert _packed_product(a, b).terms == d_mul(a.terms, b.terms)
 
 
 def test_unpack_refuses_a_width_below_two():
@@ -263,15 +268,17 @@ def test_unpack_refuses_a_coefficient_too_wide_for_its_slot():
 
 
 def test_a_large_product_stays_packed_until_its_terms_are_read():
-    a, b = fib_poly(40), fib_poly(41)  # 40 slots, past the floor
+    a, b = fib_poly(40), fib_poly(41)
     product = a * b
     assert type(product) is _LazyPoly and product._image is not None
     assert product.terms == d_mul(a.terms, b.terms)
     # the first read unpacks it once for good and frees the image
     assert type(product) is BivarPoly and product._image is None
     assert {type(c) for c in product.terms.values()} == {int}
-    # a product of fewer slots is unpacked at once, at its exact width
-    assert type(fib_poly(20) * luc_poly(21)) is BivarPoly
+    # a product of few slots (20 here) is deferred as well
+    small = fib_poly(20) * luc_poly(21)
+    assert type(small) is _LazyPoly
+    assert small.terms == d_mul(poly_fib(20), poly_luc(21))
 
 
 def _deferred(n, m):
@@ -323,6 +330,23 @@ def test_deferred_values_compare_as_ints_only_at_one_width_and_one_weight():
     assert type(wide) is type(narrow) is BivarPoly
 
 
+def test_a_product_whose_bound_reaches_a_deferred_width_is_packed_wider():
+    # c(x^4 + x^2*y + y^2) squared has 3c^2 > 2^63 at x^4*y^2 for c = 2^31 - 1,
+    # and its bound, 31 + 31 + 2 bits, is 64: a signed 64-bit slot cannot hold it
+    c = 2**31 - 1
+    terms = {(4, 0): c, (2, 1): c, (0, 2): c}
+    expected = d_mul(terms, terms)
+    assert max(expected.values()) >= 2**63
+
+    def deferred():
+        return _lazy((_pack(terms, 64), 64, 4, 0, 31))
+
+    plain = BivarPoly(terms)
+    for product in (deferred() * plain, plain * deferred(), deferred() * deferred()):
+        assert type(product) is _LazyPoly and product._image[1] > 64
+        assert product.terms == expected
+
+
 def test_threads_reading_and_using_one_deferred_value_get_its_terms():
     # the first read of the terms unpacks the value in place, while other
     # threads may be in its methods: each must still see the one polynomial
@@ -353,7 +377,7 @@ def test_threads_reading_and_using_one_deferred_value_get_its_terms():
 @st.composite
 def graded_operands(draw):
     """Three int polynomials of one weight, each of 8 to 24 terms, so that a
-    product of two is packed and spans past the floor.  Coefficients are
+    product of two is packed and deferred.  Coefficients are
     drawn near one bit bound t: 2^t - 1 and -2^t or anything between, and the
     third operand may be the first with alternating signs, whose product
     with the first cancels its middle terms."""
@@ -464,7 +488,7 @@ def test_deferred_chains_match_the_oracle_and_the_eager_path(operands, ops):
     assert type(operands[0] * operands[1]) is _LazyPoly
     values, compared = _run_chain(operands, ops)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(poly, "_LAZY_MIN_SLOTS", 1 << 30)  # every product unpacked at once
+        patch.setattr(poly, "_packed_product", lambda a, b: None)  # the dict loop's products
         eager, eager_compared = _run_chain(operands, ops)
     oracle, oracle_compared = _oracle_chain(operands, ops)
     assert compared == eager_compared == oracle_compared
@@ -474,6 +498,51 @@ def test_deferred_chains_match_the_oracle_and_the_eager_path(operands, ops):
         assert hash(value) == hash(plain)
         assert value.terms == plain.terms == expected
         assert {type(c) for c in value.terms.values()} <= {int}
+
+
+def _fresh_values():
+    """A plain polynomial with a Fraction coefficient, a deferred product, an
+    extension element with deferred parts and a packed matrix power, each new."""
+    product = fib_poly(40) * fib_poly(41)
+    assert type(product) is _LazyPoly
+    return [
+        DISCRIMINANT * X + Fraction(1, 2) * Y,
+        product,
+        QuadExtElem(fib_poly(40) * luc_poly(41), fib_poly(30) * luc_poly(31)),
+        matrix_pow(matrix_B(), 6),
+    ]
+
+
+def _polys(value):
+    """The polynomials that make up a value of :func:`_fresh_values`."""
+    if isinstance(value, QuadExtElem):
+        return [value.a, value.b]
+    if isinstance(value, PolyMatrix2):
+        return [value.e11, value.e12, value.e21, value.e22]
+    return [value]
+
+
+_COPIES = {
+    **{
+        f"pickle-{protocol}": lambda value, p=protocol: pickle.loads(pickle.dumps(value, p))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    },
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("duplicate", _COPIES.values(), ids=_COPIES.keys())
+def test_pickle_and_copy_rebuild_plain_polynomials(duplicate):
+    for value in _fresh_values():
+        twin = duplicate(value)
+        assert twin == value
+        assert type(twin) is type(value)  # a deferred product is unpacked by now
+        for part, original in zip(_polys(twin), _polys(value)):
+            assert type(part) is BivarPoly
+            assert {m: (c, type(c)) for m, c in part.terms.items()} == {
+                m: (c, type(c)) for m, c in original.terms.items()
+            }
 
 
 # -- powers ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Generators, companion matrices, and the power-entry closed form."""
 
+import re
 import sys
 import threading
 import time
@@ -17,6 +18,7 @@ from fibluc import (
     ALPHA,
     BETA,
     DELTA,
+    DISCRIMINANT,
     ONE,
     PolyMatrix2,
     QuadExtElem,
@@ -904,6 +906,15 @@ def test_entry_factor_rejects_a_negative_index():
         power_entry_factor(X, Y, -1)
 
 
+@pytest.mark.parametrize("index", [2.0, Fraction(6), "3", None])
+def test_entry_factor_rejects_an_index_that_is_not_an_int(index):
+    # checked before the loop, which would raise TypeError, or run on a float
+    with pytest.raises(ValueError, match=re.escape(f"index must be an integer, got {index!r}")):
+        power_entry_factor(DISCRIMINANT, Y * DISCRIMINANT, index)
+    with pytest.raises(ValueError, match="index must be an integer"):
+        sequences.binomial_sum(index, X * X, Y)
+
+
 @pytest.mark.parametrize(
     "a,b",
     [(1, 1), (3, -2), (Fraction(1, 2), 5), (X, Y), (X * X + 2 * Y, -(Y * Y)), (DELTA, -Y)],
@@ -941,6 +952,7 @@ def _same_weight_pairs(draw):
 
 @given(_same_weight_pairs(), st.integers(0, 40))
 @example((ZERO, -(Y**3)), 9)
+@example((ZERO, ZERO), 2)  # every coefficient bound is 0: the narrowest width, 2
 @example((X**4 - 3 * Y * Y, ZERO), 9)
 @example((X**6 + Y**3, (1 << 40) * Y**3), 21)
 @example((X * X + 4 * Y, -Y), 0)
@@ -1021,12 +1033,12 @@ def test_a_deferred_product_as_a_binomial_sum_operand_sums_on_packed_ints(monkey
 
 
 def test_a_deferred_product_as_a_matrix_entry_powers_on_packed_ints(monkeypatch):
-    unpacks = counting(monkeypatch, "_unpack_matrix")
+    runs = counting(monkeypatch, "_packed_run")
     entry, terms = _deferred_product(40, 41)
     power = matrix_pow(PolyMatrix2(entry, X, ZERO, ZERO), 3)
     expected = _oracle_powers(PolyMatrix2(BivarPoly(terms), X, ZERO, ZERO), 3)[3]
     assert tuple(e.terms for e in _entries(power)) == expected
-    assert len(unpacks) == 1
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("name,matrix", [("A", matrix_A()), ("B", matrix_B()), ("BA", matrix_BA())])

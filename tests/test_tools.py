@@ -1,12 +1,23 @@
-"""The repository's tools count what they say they count."""
+"""The repository's tools count and digest what they say they do."""
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-_spec = importlib.util.spec_from_file_location("code_lines", _TOOL)
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+from fibluc import ONE, X, BivarPoly
+
+
+def _load(name):
+    """The module of ``tools/<name>.py``."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _load("code_lines")
+side_digest = _load("side_digest")
 
 
 def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
@@ -31,3 +42,31 @@ def test_code_lines_prints_each_modules_lines_and_source_bytes(tmp_path, capsys)
         "b                2      19",
         "total            3      36",
     ]
+
+
+def test_side_digest_prints_the_same_lines_on_every_run(capsys):
+    outputs = []
+    for _ in range(2):
+        assert side_digest.main(["3", "2"]) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    first, second = outputs
+    assert first == second
+    # one line per catalog case and per corpus id, then the total
+    assert len([line for line in first if line.startswith("catalog ")]) == 31
+    assert first[-1].startswith("total ") and len(first[-1].split()[1]) == 64
+    # a digest covers its own id's cells alone, so an id filter keeps its lines as they were
+    assert side_digest.main(["3", "2", "EQ04,EQ24"]) == 0
+    kept = capsys.readouterr().out.splitlines()[:-1]
+    assert kept == [line for line in first[:-1] if line.split()[1] in ("EQ04", "EQ24")]
+    assert len(kept) == 4
+
+
+def test_side_digest_tells_coefficient_types_apart():
+    # both sides render as "x + 1" either way; only a coefficient's type differs
+    plain = BivarPoly({(1, 0): 1, (0, 0): 1})
+    rational = BivarPoly({(1, 0): 1, (0, 0): Fraction(1)})
+    assert str(plain) == str(rational) and plain == rational == X + ONE
+    same = side_digest.digests([("catalog", [("EQ", X + ONE, plain)])])
+    changed = side_digest.digests([("catalog", [("EQ", X + ONE, rational)])])
+    assert same != changed
+    assert same == side_digest.digests([("catalog", [("EQ", X + ONE, plain)])])
