@@ -660,9 +660,18 @@ def _domain_error(problem: str, node: Node, env: Mapping[str, int]) -> DomainErr
 
 
 def evaluate(node: Node, binding: Mapping[str, int]):
-    """Exact ring value of an expression under the given meta-variable binding."""
+    """Exact ring value of an expression under the given meta-variable binding.
+
+    A deferred product (``poly._LazyPoly``), alone or as a part of a
+    :class:`QuadExtElem`, has its terms read here, so every polynomial of
+    the value is a plain :class:`BivarPoly`, whichever way it was computed.
+    """
     value = node._eval(dict(binding))
-    return BivarPoly.const(value) if isinstance(value, int) else value
+    if isinstance(value, int):
+        return BivarPoly.const(value)
+    for part in (value.a, value.b) if isinstance(value, QuadExtElem) else (value,):
+        part._terms  # unpacks a deferred product in place
+    return value
 
 
 def free_meta_vars(node: Node) -> set[str]:

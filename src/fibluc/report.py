@@ -66,10 +66,13 @@ def grid_axis(name: str, low: int, high: int) -> range:
 def select_ids(items: list, ids: list[str] | None, what: str) -> list:
     """The items whose ``case_id`` is in ``ids``, in the items' own order.
 
-    ``ids=None`` keeps every item; an id no item has is a ``ValueError``.
+    ``ids=None`` keeps every item; an empty list, or an id no item has, is a
+    ``ValueError``.
     """
     if ids is None:
         return list(items)
+    if not ids:
+        raise ValueError(f"no {what} id given")
     known = {item.case_id for item in items}
     unknown = [i for i in ids if i not in known]
     if unknown:

@@ -23,15 +23,17 @@ everything here is safe to invoke concurrently, and one long walk holds up
 the other threads' calls.
 
 Where every term is a weighted-homogeneous int polynomial, the list of any
-other pair fills on Kronecker-packed ints (see :func:`_shape` for which).  With
-x = p + q*D, the entry keeps the last two terms a + b*D as two ints each at
-x -> 1, y -> 2^s, and a step is a_m = p*a_{m-1} + q*D^2*b_{m-1} + y*a_{m-2}
-and b_m = p*b_{m-1} + q*a_{m-1} + y*b_{m-2}: a few int products, shifts and
-adds, with q*D^2 the ring's product, taken once per pair, and each new term
-unpacked once.  The slot width s holds every coefficient up to about twice
-the list's length (see :func:`_pack_pair`); past that the entry packs again
-from the last two list terms.  The packed pair counts toward the size bound
-and goes when the list stops.  Walks and every other pair take the ring step.
+other pair fills on Kronecker-packed ints (see :func:`_pack_pair` for which).
+With x = p + q*D, the entry keeps the last two terms a + b*D as two ints each
+at x -> 1, y -> 2^s, and a step (:func:`_step`) is
+a_m = p*a_{m-1} + q*D^2*b_{m-1} + y*a_{m-2} and
+b_m = p*b_{m-1} + q*a_{m-1} + y*b_{m-2}: a few int products, shifts and
+adds, with q*D^2 the ring's product, taken once per packing, and each new
+term unpacked once.  The slot width s holds every coefficient up to about
+twice the list's length, as the same step on the 1-norms bounds them (see
+:func:`_pack_pair`); past that the entry packs again from the last two list
+terms.  The packed pair counts toward the size bound and goes when the list
+stops.  Walks and every other pair take the ring step.
 """
 
 from __future__ import annotations
@@ -128,51 +130,6 @@ def _size(value) -> int:
     return _MONOMIAL_BYTES * len(numbers) + bits // 8
 
 
-class _Shape(NamedTuple):
-    """What a pair needs to step its list on packed ints: see :func:`_shape`."""
-
-    #: w, the weight of x_arg: each term outweighs the one before by w
-    weight: int
-    #: the weight of u_0's base part (F_1 = 1 and L_0 = 2 weigh 0)
-    weight_0: int
-    #: the term dicts of p, q, q*D^2 and y_arg for x_arg = p + q*D
-    factors: tuple[dict, dict, dict, dict]
-    #: whether the terms are QuadExtElem values
-    quad: bool
-
-
-def _shape(kind: SeqKind, x_arg, y_arg) -> _Shape | None:
-    """The shape of a pair whose list fills on packed ints, or None for the ring step.
-
-    The list fills packed when y_arg is a :class:`BivarPoly`, x_arg is one or
-    a :class:`QuadExtElem` p + q*D, every part has int coefficients, x_arg
-    has one weight w, and every term of y_arg weighs 2w.  D weighs 1, so
-    x_arg weighs w when the terms x^i y^j of p weigh i + 2j = w and those of
-    q weigh w - 1.  Every term is then weighted-homogeneous, so x -> 1,
-    y -> 2^s packs each part of it into one int without loss.
-    """
-    if not isinstance(y_arg, BivarPoly) or not isinstance(x_arg, (BivarPoly, QuadExtElem)):
-        return None
-    quad = type(x_arg) is QuadExtElem
-    p, q = (x_arg.a, x_arg.b) if quad else (x_arg, ZERO)
-    weights = {i + 2 * j + d for d, part in enumerate((p, q)) for i, j in part._terms}
-    y_weights = {i + 2 * j for i, j in y_arg._terms}
-    if len(weights) != 1 or y_weights != {2 * w for w in weights}:
-        return None
-    factors = p._terms, q._terms, (q * DISCRIMINANT)._terms, y_arg._terms
-    if any(type(c) is not int for terms in factors for c in terms.values()):
-        return None
-    (w,) = weights
-    return _Shape(w, -w if kind is SeqKind.FIB else 0, factors, quad)
-
-
-def _parts(term) -> tuple[dict, dict]:
-    """The term dicts of the base part and the D part of a list term."""
-    if type(term) is QuadExtElem:
-        return term.a._terms, term.b._terms
-    return term._terms, {}
-
-
 def _factor(terms: dict, s: int) -> tuple[int, int]:
     """(c, shift) such that a packed value times the packed polynomial is ``(v * c) << shift``.
 
@@ -190,6 +147,12 @@ class _Packed(NamedTuple):
     #: the slot width, and the highest index whose coefficients it holds
     s: int
     cover: int
+    #: w, the weight of x_arg (each term outweighs the one before by w), and
+    #: that of u_0's base part (F_1 = 1 and L_0 = 2 weigh 0)
+    weight: int
+    weight_0: int
+    #: whether the terms are QuadExtElem values
+    quad: bool
     #: p, q, q*D^2 and y_arg as :func:`_factor` gives them at width s
     factors: tuple
     a0: int
@@ -200,31 +163,54 @@ class _Packed(NamedTuple):
     size: int
 
 
-def _pack_pair(shape: _Shape, u_prev, u_cur, m: int) -> _Packed:
+def _step(factors: tuple, a0: int, b0: int, a1: int, b1: int) -> tuple[int, int]:
+    """(a2, b2) with a2 + b2*D = x_arg*(a1 + b1*D) + y_arg*(a0 + b0*D) on packed ints.
+
+    ``factors`` are p, q, q*D^2 and y_arg for x_arg = p + q*D, each as the
+    (c, shift) of :func:`_factor`: the step of the module docstring.  Given
+    the factors' 1-norms with shift 0 and each part's largest coefficient, it
+    bounds every coefficient of the next term's parts instead.
+    """
+    (pc, ps), (qc, qs), (dc, ds), (yc, ys) = factors
+    a2 = ((a1 * pc) << ps) + ((b1 * dc) << ds) + ((a0 * yc) << ys)
+    b2 = ((b1 * pc) << ps) + ((a1 * qc) << qs) + ((b0 * yc) << ys)
+    return a2, b2
+
+
+def _pack_pair(kind: SeqKind, x_arg, y_arg, u_prev, u_cur, m: int) -> _Packed | None:
     """u_{m-1} and u_m packed at a width that holds every coefficient up to u_{2m+16}.
 
-    With x_arg = p + q*D, u_{k+1} = x_arg*u_k + y_arg*u_{k-1} steps the base
-    part by p, q*D^2 and y_arg and the D part by p, q and y_arg, and
-    ||q||_1 <= ||q*D^2||_1 / 3 for every homogeneous q.  So the largest
-    coefficient M_k of u_k obeys
-    M_{k+1} <= (||p||_1 + ||q*D^2||_1) * M_k + ||y_arg||_1 * M_{k-1}.  That
-    bound is run on from the real largest coefficients of the two terms.
+    None where the list takes the ring step.  It fills packed where, with
+    x_arg = p + q*D (q = 0 for a :class:`BivarPoly`), the matrix
+    [[p, 1], [y_arg, x*q]] has a grading (see :func:`_grading`): every part
+    is an int polynomial, p and x*q weigh one w (a zero fits any), and y_arg
+    weighs 2w.  D weighs 1, so x_arg weighs w and every term is
+    weighted-homogeneous, which x -> 1, y -> 2^s packs part by part into
+    ints without loss.  :func:`_step`, run from the two terms' largest
+    coefficients to u_{2m+16} on the 1-norms, bounds every coefficient, and
+    the width is the one :func:`_width` gives that bound, as in
+    :func:`_packed_run`.
     """
-    p, _, q_disc, y = shape.factors
-    norm_x = sum(map(abs, [*p.values(), *q_disc.values()]))
-    norm_y = sum(map(abs, y.values()))
-    tops = [
-        max(map(abs, [*a.values(), *b.values()]), default=0)
-        for a, b in map(_parts, (u_prev, u_cur))
-    ]
+    quad = type(x_arg) is QuadExtElem
+    p, q = (x_arg.a, x_arg.b) if quad else (x_arg, ZERO)
+    grading = _grading((p, ONE, y_arg, X * q))
+    if grading is None:
+        return None
+    w = grading[0]
+    terms = p._terms, q._terms, (q * DISCRIMINANT)._terms, y_arg._terms
+    norms = [(sum(map(abs, part.values())), 0) for part in terms]
+    parts = [part._terms for u in (u_prev, u_cur) for part in ((u.a, u.b) if quad else (u, ZERO))]
+    a0, b0, a1, b1 = (max(map(abs, part.values()), default=0) for part in parts)
+    top = max(a0, b0, a1, b1)
     cover = 2 * m + 16
-    low, high = tops
     for _ in range(cover - m):
-        low, high = high, norm_x * high + norm_y * low
-    s = max(*tops, high).bit_length() + 1
-    ints = [_pack(part, s) for u in (u_prev, u_cur) for part in _parts(u)]
-    factors = tuple(_factor(terms, s) for terms in shape.factors)
-    return _Packed(s, cover, factors, *ints, sum(map(_size, ints)))
+        a0, b0, (a1, b1) = a1, b1, _step(norms, a0, b0, a1, b1)
+        top = max(top, a1, b1)
+    s = _width(top)
+    ints = [_pack(part, s) for part in parts]
+    factors = tuple(_factor(part, s) for part in terms)
+    weight_0 = -w if kind is SeqKind.FIB else 0
+    return _Packed(s, cover, w, weight_0, quad, factors, *ints, sum(map(_size, ints)))
 
 
 def _build(kind: SeqKind, m: int) -> BivarPoly:
@@ -247,23 +233,20 @@ def _build(kind: SeqKind, m: int) -> BivarPoly:
     return _poly(terms)
 
 
-def _packed_next_term(shape: _Shape, packed: _Packed, m: int):
+def _packed_next_term(packed: _Packed, m: int):
     """u_m from the packed u_{m-2} and u_{m-1}, and the packed pair of u_{m-1} and u_m.
 
-    The step of :func:`_next_term` on ints, as the module docstring states
-    it.  u_m is unpacked once, with the ring step's value and int
-    coefficients.
+    The step of :func:`_next_term` on ints, by :func:`_step`.  u_m is
+    unpacked once, with the ring step's value and int coefficients.
     """
-    s, cover, factors, a0, b0, a1, b1, _ = packed
-    (pc, ps), (qc, qs), (dc, ds), (yc, ys) = factors
-    a2 = ((a1 * pc) << ps) + ((b1 * dc) << ds) + ((a0 * yc) << ys)
-    b2 = ((b1 * pc) << ps) + ((a1 * qc) << qs) + ((b0 * yc) << ys)
-    weight = shape.weight_0 + m * shape.weight
+    s, cover, w, weight_0, quad, factors, a0, b0, a1, b1, _ = packed
+    a2, b2 = _step(factors, a0, b0, a1, b1)
+    weight = weight_0 + m * w
     term = _poly(_unpack(a2, s, weight))
-    if shape.quad:
+    if quad:
         term = QuadExtElem(term, _poly(_unpack(b2, s, weight - 1)))
     ints = a1, b1, a2, b2
-    return term, _Packed(s, cover, factors, *ints, sum(map(_size, ints)))
+    return term, _Packed(s, cover, w, weight_0, quad, factors, *ints, sum(map(_size, ints)))
 
 
 class _Terms:
@@ -271,36 +254,36 @@ class _Terms:
 
     ``terms`` is u_0 .. u_t, every term computed while the list fits half
     the bound (``size``, by :func:`_size`).  ``walk`` is None until the list
-    stops, then (m, u_{m-1}, u_m) for the last index stepped to past t.  A
-    pair with a ``shape`` (see :func:`_shape`) fills its list on packed ints
-    and keeps u_{t-1} and u_t packed in ``packed`` between calls, counted in
-    ``size``, until the list stops; walks take the ring step.  :func:`seq`
-    steps an entry in place under its lock.  The list only gains whole terms
-    and the walk and packed pair are set once per term, so a step that
-    raises leaves every field correct.
+    stops, then (m, u_{m-1}, u_m) for the last index stepped to past t.
+    While the list grows, ``packed`` holds u_{t-1} and u_t as
+    :func:`_pack_pair` packs them, counted in ``size``, for a pair whose
+    list fills on packed ints, and is None for one that takes the ring
+    step; it goes when the list stops, and walks take the ring step.
+    :func:`seq` steps an entry in place under its lock.  The list only gains
+    whole terms and the walk and packed pair are set once per term, so a
+    step that raises leaves every field correct.
     """
 
-    __slots__ = ("terms", "size", "walk", "shape", "packed")
+    __slots__ = ("terms", "size", "walk", "packed")
 
     def __init__(self, kind: SeqKind, x_arg, y_arg) -> None:
         self.terms = list(_seeds(kind, x_arg))
-        self.size = sum(map(_size, self.terms))
         self.walk = None
-        self.shape = _shape(kind, x_arg, y_arg)
-        self.packed = None
+        self.packed = _pack_pair(kind, x_arg, y_arg, *self.terms, 1)
+        self.size = sum(map(_size, self.terms)) + (self.packed.size if self.packed else 0)
 
-    def term(self, n: int, x_arg, y_arg):
+    def term(self, kind: SeqKind, n: int, x_arg, y_arg):
         """u_n: a list read at or below t, else a step on from the walk or u_t."""
         terms = self.terms
         while self.walk is None and len(terms) <= n:
             m = len(terms)
-            if self.shape is None:
-                u_next, packed = _next_term(x_arg, y_arg, terms[-2], terms[-1]), None
+            packed = self.packed
+            if packed is None:
+                u_next = _next_term(x_arg, y_arg, terms[-2], terms[-1])
             else:
-                packed = self.packed
-                if packed is None or packed.cover < m:
-                    packed = _pack_pair(self.shape, terms[-2], terms[-1], m - 1)
-                u_next, packed = _packed_next_term(self.shape, packed, m)
+                if packed.cover < m:
+                    packed = _pack_pair(kind, x_arg, y_arg, terms[-2], terms[-1], m - 1)
+                u_next, packed = _packed_next_term(packed, m)
             kept = self.size - (self.packed.size if self.packed else 0)
             size = kept + _size(u_next) + (packed.size if packed else 0)
             if 2 * size > _TERMS_BYTES:
@@ -405,7 +388,7 @@ def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
             _pairs_size -= entry.size
         _pairs[key] = entry
         try:
-            return entry.term(n, x_arg, y_arg)
+            return entry.term(kind, n, x_arg, y_arg)
         finally:
             _pairs_size += entry.size
             if len(_pairs) > _WALKS_MAX:
@@ -427,7 +410,13 @@ def luc(n: int, x_arg=X, y_arg=Y):
 
 
 def binomial(n: int, k: int) -> int:
-    """C(n, k) with the convention that out-of-range k gives 0."""
+    """C(n, k) with the convention that out-of-range k gives 0.
+
+    An index that is not an int, or a negative n, raises ValueError.
+    """
+    if not (isinstance(n, int) and isinstance(k, int)):
+        bad = k if isinstance(n, int) else n
+        raise ValueError(f"binomial index must be an integer, got {bad!r}")
     if n < 0:
         raise ValueError(f"upper index must be nonnegative, got {n}")
     return comb(n, k) if k >= 0 else 0
@@ -510,6 +499,15 @@ def _grading(entries: tuple) -> tuple[int, int] | None:
     return w, (w - w21 if w21 is not None else 0)
 
 
+def _width(*bounds: int) -> int:
+    """The slot width of coefficients bounded by ``bounds`` in magnitude.
+
+    One bit more than the largest bound, for the sign, and at least 2, the
+    narrowest width that :func:`poly._unpack` takes (where every bound is 0).
+    """
+    return max(*bounds, 1).bit_length() + 1
+
+
 def _packed_run(run, values: tuple, weights: tuple) -> list[BivarPoly]:
     """The polynomials of the ints ``run(s, *packs)`` gives, unpacked at ``weights``.
 
@@ -520,13 +518,12 @@ def _packed_run(run, values: tuple, weights: tuple) -> list[BivarPoly]:
     Packing (x -> 1, y -> 2^s, see :func:`poly._pack`) is a ring
     homomorphism, so on the values' packed ints it gives the results'
     images, and at s = 0 on the values' coefficient 1-norms a bound on every
-    coefficient of the results.  s is one bit more than the largest such
-    bound (2 where all are zero, the narrowest width that ``_unpack``
-    takes), so each coefficient fits its signed slot and unpacks exactly,
-    as an int.
+    coefficient of the results.  s is the width :func:`_width` gives those
+    bounds, so each coefficient fits its signed slot and unpacks exactly, as
+    an int.
     """
     norms = [sum(map(abs, value._terms.values())) for value in values]
-    s = max(*run(0, *norms), 1).bit_length() + 1
+    s = _width(*run(0, *norms))
     packed = run(s, *[_pack(value._terms, s) for value in values])
     return [_poly(_unpack(c, s, weight)) for c, weight in zip(packed, weights)]
 

@@ -100,6 +100,12 @@ def test_run_catalog_rejects_unknown_id():
         run_catalog(3, 2, ids=["EQ99"])
 
 
+def test_run_catalog_rejects_an_empty_id_list():
+    # an empty selection would pass vacuously
+    with pytest.raises(ValueError, match="^no identity id given$"):
+        run_catalog(10, 6, ids=[])
+
+
 def test_run_catalog_rejects_bad_bounds():
     with pytest.raises(ValueError):
         run_catalog(0, 3)

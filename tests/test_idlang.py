@@ -7,12 +7,13 @@ import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from fibluc import (
     BivarPoly,
     DomainError,
     ParseError,
+    QuadExtElem,
     X,
     Y,
     canonical_text,
@@ -403,6 +404,14 @@ def test_render_parenthesizes_only_when_needed():
     assert render(parse_expression("x+y*x")) == "x + y * x"
 
 
+@pytest.mark.parametrize("source", ["F[40]*F[41]", "D*F[40]*F[41]", "(F[40]+D)*F[41]"])
+def test_evaluate_returns_no_deferred_product(source):
+    # each product here is 40 slots wide, so it is kept packed until its terms are read
+    value = evaluate(parse_expression(source), {})
+    parts = (value.a, value.b) if isinstance(value, QuadExtElem) else (value,)
+    assert [type(part) for part in parts] == [BivarPoly] * len(parts)
+
+
 # -- power tables inside sums ---------------------------------------------------------
 
 
@@ -498,6 +507,8 @@ _SUMS = _sum_asts("j", ("j", "k", "n")) | _sum_asts("n", ("k", "n"))
 
 @given(_SUMS, st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=300, deadline=None)
+# each term a deferred product evaluated alone, the sum of them a plain polynomial
+@example(parse_expression("sum(j=0..3, (0 + 2)^4 * F[7]^6)"), 0, 0)
 def test_a_sum_with_power_tables_equals_its_terms_evaluated_alone(node, n, k):
     # an assumption, not a filter: a filter's retries render the whole strategy
     assume(_no_index_products(node))

@@ -161,7 +161,7 @@ def test_interrupted_cache_fill_recovers(monkeypatch):
         assert [seq(SeqKind.LUC, m, x_arg, y_arg) for m in range(n + 1)] == expected
     assert len(calls) == 2 + 5  # the failed term is computed again, then the four after it
     (entry,) = sequences._pairs.values()
-    assert entry.shape is not None and len(entry.terms) == n + 1
+    assert entry.packed is not None and entry.walk is None and len(entry.terms) == n + 1
     built = fresh_generator_memo(monkeypatch)
     with monkeypatch.context() as patch:
         build, calls = failing_once(sequences._build, 2)
@@ -199,7 +199,8 @@ def test_interrupted_ring_fill_recovers(monkeypatch):
             seq(SeqKind.FIB, n, x_arg, Y)
     assert [seq(SeqKind.FIB, m, x_arg, Y) for m in range(n + 1)] == expected
     (entry,) = sequences._pairs.values()
-    assert entry.shape is None and entry.packed is None
+    # while the list grows, no packed pair means the ring step
+    assert entry.walk is None and entry.packed is None
 
 
 def counting(patch, *names):
@@ -452,6 +453,11 @@ _PACKED_PAIRS = [
     (DELTA * fib_poly(3), -(Y**3)),
     # q*D^2 = x^4 - 16y^2 has norm 17, below 5*||q||_1 = 25: a narrower width
     (QuadExtElem(ZERO, X * X - 4 * Y), 5 * Y**3),
+    # zero parts: a zero fits any weight, and a zero list packs at the narrowest width
+    (ZERO, Y),
+    (X, ZERO),
+    (ZERO, ZERO),
+    (QuadExtElem(ZERO, ZERO), -Y),
 ]
 #: pairs that keep the ring step: a Fraction coefficient, x not homogeneous,
 #: weight(y) != 2 * weight(x), y a QuadExtElem, and ints
@@ -490,11 +496,43 @@ def test_packed_fills_give_the_ring_terms(requests, terms_bytes):
             expected = _FILL_TERMS[kind, i][n]
             assert value == expected
             assert _types(value) == _types(expected)
-        for (_, _, x_arg, _, y_arg), entry in sequences._pairs.items():
+        for (kind, _, x_arg, _, y_arg), entry in sequences._pairs.items():
             packed = any(x_arg is x and y_arg is y for x, y in _PACKED_PAIRS)
-            assert (entry.shape is not None) is packed
-            assert entry.packed is None or (packed and entry.walk is None)
+            seeds = sequences._seeds(kind, x_arg)
+            assert (sequences._pack_pair(kind, x_arg, y_arg, *seeds, 1) is not None) is packed
+            # a growing list keeps its packed pair, a stopped one none
+            assert (entry.packed is not None) is (packed and entry.walk is None)
             assert entry.size == stored_size(entry)
+
+
+def test_a_packed_width_holds_its_cover_exactly(monkeypatch):
+    # F_n(1, 1) meets the bound: packed at u_1, the width must hold F_18 = 2584
+    # below 2^12 with its sign, and a width one bit short overflows at F_18
+    monkeypatch.setattr(sequences, "_pairs", {})
+    monkeypatch.setattr(sequences, "_pairs_size", 0)
+    fibs = int_seq(0, 1, 1, 1, 19)
+    ring = list(islice(seq_terms(SeqKind.FIB, ONE, ONE), 19))
+    for n in range(19):
+        value = seq(SeqKind.FIB, n, ONE, ONE)
+        assert value == fibs[n] * ONE and _types(value) == _types(ring[n])
+    (entry,) = sequences._pairs.values()
+    assert (entry.packed.s, entry.packed.cover) == (13, 18)
+
+
+def test_composed_fills_bound_each_part_of_a_d_pair_apart(monkeypatch):
+    # F_n(D, -y) on the composed grid: the base part steps by q*D^2 = x^2 + 4y
+    # and the D part by q = 1; one bound through ||q*D^2||_1 for both parts
+    # gives 92-bit slots at F_49
+    monkeypatch.setattr(sequences, "_pairs", {})
+    monkeypatch.setattr(sequences, "_pairs_size", 0)
+    composed = ["EQ12", "EQ13", "EQ14", "EQ18", "EQ24", "EQ25", "EQ26", "EQ27"]
+    assert identities.run_catalog(24, 3, ids=composed).all_passed
+    (entry,) = [
+        entry
+        for (kind, _, x_arg, _, y_arg), entry in sequences._pairs.items()
+        if kind is SeqKind.FIB and x_arg == DELTA and y_arg == -Y
+    ]
+    assert len(entry.terms) == 50 and entry.packed.s <= 64
 
 
 def test_equal_arguments_of_different_types_walk_apart():
@@ -894,6 +932,15 @@ def test_binomial_values():
         binomial(-1, 0)
 
 
+@pytest.mark.parametrize(
+    "n, k, shown", [(2.0, 1, "2.0"), (5, 2.0, "2.0"), ("5", 2, "'5'"), (5, -1.5, "-1.5")]
+)
+def test_binomial_rejects_an_index_that_is_not_an_int(n, k, shown):
+    message = f"^binomial index must be an integer, got {re.escape(shown)}$"
+    with pytest.raises(ValueError, match=message):
+        binomial(n, k)
+
+
 # -- closed form for the (1,2) entry -----------------------------------------------
 
 
@@ -1012,12 +1059,13 @@ def test_a_deferred_product_as_a_seq_argument_fills_on_packed_ints(monkeypatch):
     plain = BivarPoly({mono: int(c) for mono, c in x_terms.items()})
     assert sequences._size(x_arg) == sequences._size(plain)
     assert sequences._types(_deferred_product(40, 41)[0]) == sequences._types(plain)
-    assert sequences._shape(SeqKind.FIB, _deferred_product(40, 41)[0], -(Y**79)) is not None
+    packed = sequences._pack_pair(SeqKind.FIB, _deferred_product(40, 41)[0], -(Y**79), ZERO, ONE, 1)
+    assert packed is not None
     for kind in [*SeqKind, SeqKind.FIB]:
         value = seq(kind, 3, x_arg, -(Y**79))
         assert value.terms == _oracle_seq(kind, 3, x_terms, {(0, 79): -1})
     # one entry per kind: the deferred argument and its unpacked self share a key
-    assert [entry.shape is not None for entry in sequences._pairs.values()] == [True, True]
+    assert [entry.packed is not None for entry in sequences._pairs.values()] == [True, True]
     assert len(steps) == 4  # u_2 and u_3 of each kind
 
 
