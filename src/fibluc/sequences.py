@@ -17,7 +17,8 @@ has computed up to that bound: the list u_0 .. u_t while it fits half the
 bound, and the last two terms of its latest walk.  A request at or below t
 reads the list; a higher one steps on from the walk or from u_t, not from
 the seeds.  The 64 pairs used most recently keep theirs, and past a total
-size budget the least recently used give up their lists.  One lock guards
+size budget the least recently used give up their lists, by a stamp of
+each entry's last use; a list read changes only the stamp.  One lock guards
 the whole store and a call steps its entry in place while holding it, so
 everything here is safe to invoke concurrently, and one long walk holds up
 the other threads' calls.
@@ -42,6 +43,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import count
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -98,9 +100,8 @@ _MONOMIAL_BYTES = 128
 _TERMS_BYTES = 6 << 20
 #: Estimated bytes of the entries of all pairs other than (x, y) together.
 #: Past it the least recently used give up their lists but keep their walks:
-#: the (16,30) composed grid then takes 3972 recurrence steps and 49 MB max
-#: RSS, against 3600 and 77 MB without it, 15485 steps when whole entries go
-#: and 9195 with two terms per pair.  (24,12) and (40,10) step as without it.
+#: the (16,30) composed grid then takes 4034 steps and 48 MB max RSS, against
+#: 3600 and 76 MB without it, and more steps where whole entries go.
 _PAIRS_BYTES = 16 << 20
 #: Argument pairs other than (x, y) whose entries :func:`seq` keeps; the least
 #: recently used goes first.  A catalog grid keeps about 1.5 pairs live per k
@@ -259,14 +260,16 @@ class _Terms:
     :func:`_pack_pair` packs them, counted in ``size``, for a pair whose
     list fills on packed ints, and is None for one that takes the ring
     step; it goes when the list stops, and walks take the ring step.
+    ``used`` stamps its last use.
     :func:`seq` steps an entry in place under its lock.  The list only gains
     whole terms and the walk and packed pair are set once per term, so a
     step that raises leaves every field correct.
     """
 
-    __slots__ = ("terms", "size", "walk", "packed")
+    __slots__ = ("terms", "size", "walk", "packed", "used")
 
     def __init__(self, kind: SeqKind, x_arg, y_arg) -> None:
+        self.used = next(_uses)
         self.terms = list(_seeds(kind, x_arg))
         self.walk = None
         self.packed = _pack_pair(kind, x_arg, y_arg, *self.terms, 1)
@@ -335,8 +338,10 @@ _lock = threading.Lock()
 _built = {(kind, m): u for kind in SeqKind for m, u in enumerate(_seeds(kind, X))}
 # the sum of the sizes of the terms in _built
 _built_size = sum(map(_size, _built.values()))
-# (kind, _types(x_arg), x_arg, _types(y_arg), y_arg) -> _Terms, oldest use first
+# (kind, _types(x_arg), x_arg, _types(y_arg), y_arg) -> _Terms
 _pairs: dict = {}
+# the stamps of _Terms.used
+_uses = count()
 # the sum of the sizes of the entries in _pairs
 _pairs_size = 0
 
@@ -358,11 +363,13 @@ def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
     Any other pair has a :class:`_Terms` entry per kind, as the module
     docstring describes, keyed by the kind and the argument pair with their
     types and coefficient types, so only arguments that compute alike share
-    one, and the arguments must be hashable.  Past ``_WALKS_MAX`` pairs the
-    least recently used entry goes, and past ``_PAIRS_BYTES`` in all the
-    least recently used give up their lists; such a pair steps from the
-    seeds again below its walk.  Each call steps its entry in place under
-    the store's one lock, so two callers of one pair walk it once.
+    one, and the arguments must be hashable.  A call hashes its key once;
+    a list read only stamps the entry, as every call leaves the store within
+    its bounds.  Past ``_WALKS_MAX`` pairs the lowest stamp goes, and past
+    ``_PAIRS_BYTES`` in all the lowest stamps give up their lists; such a
+    pair steps from the seeds again below its walk.  Each call steps its
+    entry in place under the store's one lock, so two callers of one pair
+    walk it once.
     """
     global _built_size, _pairs_size
     if not isinstance(n, int):
@@ -381,24 +388,30 @@ def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
                     _built_size -= _size(_built.pop(max(reversed(_built), key=lambda key: key[1])))
             return term
         key = (kind, _types(x_arg), x_arg, _types(y_arg), y_arg)
-        entry = _pairs.pop(key, None)
+        entry = _pairs.get(key)
         if entry is None:
-            entry = _Terms(kind, x_arg, y_arg)
+            entry = _pairs[key] = _Terms(kind, x_arg, y_arg)
         else:
+            entry.used = next(_uses)
+            if n < len(entry.terms):
+                return entry.terms[n]
             _pairs_size -= entry.size
-        _pairs[key] = entry
         try:
             return entry.term(kind, n, x_arg, y_arg)
         finally:
             _pairs_size += entry.size
             if len(_pairs) > _WALKS_MAX:
-                _pairs_size -= _pairs.pop(next(iter(_pairs))).size
-            for oldest in _pairs.values():
-                if _pairs_size <= _PAIRS_BYTES:
-                    break
-                _pairs_size -= oldest.size
-                oldest.drop_terms()
-                _pairs_size += oldest.size
+                oldest = min(_pairs.items(), key=lambda item: item[1].used)[0]
+                _pairs_size -= _pairs.pop(oldest).size
+            if _pairs_size > _PAIRS_BYTES:
+                for oldest in sorted(_pairs.values(), key=lambda entry: entry.used):
+                    if _pairs_size <= _PAIRS_BYTES:
+                        break
+                    # one down to its seeds and a walk has nothing to give up
+                    if oldest.walk is None or len(oldest.terms) > 2:
+                        _pairs_size -= oldest.size
+                        oldest.drop_terms()
+                        _pairs_size += oldest.size
 
 
 def fib(n: int, x_arg=X, y_arg=Y):

@@ -697,6 +697,71 @@ def test_the_least_recently_used_walk_goes_first(others, steps_again):
     assert len(steps) == steps_again
 
 
+def test_a_repeated_call_hashes_each_argument_once(monkeypatch):
+    small_bounds(monkeypatch, sequences._TERMS_BYTES)
+    hashed = []
+
+    class HashCounting(BivarPoly):
+        def __hash__(self):
+            hashed.append(self)
+            return super().__hash__()
+
+    x_arg, y_arg = HashCounting(luc_poly(3).terms), HashCounting((-(Y**3)).terms)
+    expected = list(islice(seq_terms(SeqKind.LUC, luc_poly(3), -(Y**3)), 21))
+    assert seq(SeqKind.LUC, 12, x_arg, y_arg) == expected[12]
+    (entry,) = sequences._pairs.values()
+    steps = []
+    real_term = sequences._Terms.term
+
+    def term(self, *args):
+        steps.append(args[1])
+        return real_term(self, *args)
+
+    monkeypatch.setattr(sequences._Terms, "term", term)
+    # a step past the list, then a list read: one hash of each argument apiece
+    for n in (20, 15):
+        hashed.clear()
+        size, walk, packed = entry.size, entry.walk, entry.packed
+        pairs_size = sequences._pairs_size
+        assert seq(SeqKind.LUC, n, x_arg, y_arg) == expected[n]
+        assert sorted(map(id, hashed)) == sorted([id(x_arg), id(y_arg)])
+    # the read changed nothing but the entry's use stamp, and stepped nothing
+    assert (entry.size, sequences._pairs_size) == (size, pairs_size)
+    assert entry.walk is walk and entry.packed is packed
+    assert steps == [20]
+
+
+def _int_pair_keys(kind, ys):
+    """The store's keys of the pairs (1, y) for each y of ``ys``."""
+    return [(kind, int, 1, int, y) for y in ys]
+
+
+def test_demotions_follow_use_not_insertion(monkeypatch):
+    small_bounds(monkeypatch, sequences._TERMS_BYTES)
+    for y_arg in (1, 2, 3):
+        seq(SeqKind.FIB, 30, 1, y_arg)
+    seq(SeqKind.FIB, 10, 1, 1)  # a list read makes (1, 1) the most recently used
+    # room for a fourth list only once one of the others gives its list up
+    monkeypatch.setattr(sequences, "_PAIRS_BYTES", sequences._pairs_size + 2000)
+    seq(SeqKind.FIB, 30, 1, 4)
+    entries = [sequences._pairs[key] for key in _int_pair_keys(SeqKind.FIB, (1, 2, 3, 4))]
+    assert [len(entry.terms) for entry in entries] == [31, 2, 31, 31]
+    assert entries[1].walk == (30, seq(SeqKind.FIB, 29, 1, 2), seq(SeqKind.FIB, 30, 1, 2))
+    assert sequences._pairs_size == sum(entry.size for entry in entries)
+    assert sequences._pairs_size <= sequences._PAIRS_BYTES
+
+
+def test_a_pair_read_again_outlives_the_pairs_after_it(monkeypatch):
+    small_bounds(monkeypatch, sequences._TERMS_BYTES)
+    monkeypatch.setattr(sequences, "_WALKS_MAX", 3)
+    for y_arg in (1, 2, 3):
+        seq(SeqKind.FIB, 30, 1, y_arg)
+    seq(SeqKind.FIB, 10, 1, 1)
+    seq(SeqKind.FIB, 30, 1, 4)
+    assert set(sequences._pairs) == set(_int_pair_keys(SeqKind.FIB, (1, 3, 4)))
+    assert sequences._pairs_size == sum(entry.size for entry in sequences._pairs.values())
+
+
 def test_threads_sharing_walks_get_the_generator_terms():
     # more threads than cores, switching often, over a few shared argument pairs
     pairs = [(1, 1), (2, -3), (luc_poly(2), -(Y**2)), (DELTA * fib_poly(2), Y**2), (X, Y)]

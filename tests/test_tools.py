@@ -4,7 +4,7 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
-from fibluc import ONE, X, BivarPoly
+from fibluc import ONE, X, Y, BivarPoly, SeqKind, seq, sequences
 
 
 def _load(name):
@@ -18,6 +18,7 @@ def _load(name):
 
 code_lines = _load("code_lines")
 side_digest = _load("side_digest")
+store_counts = _load("store_counts")
 
 
 def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
@@ -70,3 +71,45 @@ def test_side_digest_tells_coefficient_types_apart():
     changed = side_digest.digests([("catalog", [("EQ", X + ONE, rational)])])
     assert same != changed
     assert same == side_digest.digests([("catalog", [("EQ", X + ONE, plain)])])
+
+
+def test_store_counts_count_each_kind_of_store_work(monkeypatch):
+    monkeypatch.setattr(sequences, "_pairs", {})
+    monkeypatch.setattr(sequences, "_pairs_size", 0)
+
+    def work():
+        seq(SeqKind.FIB, 10, 1, 1)  # an int pair takes the ring step
+        # a graded pair fills on packed ints, and packs again for u_19, past
+        # the first packing's cover u_18
+        seq(SeqKind.FIB, 40, X * X + 2 * Y, -(Y**2))
+        monkeypatch.setattr(sequences, "_PAIRS_BYTES", 0)
+        # each call demotes every entry that still has a list, its own too,
+        # and skips those demoted before
+        seq(SeqKind.FIB, 12, 1, 2)
+        seq(SeqKind.FIB, 12, 1, 3)
+
+    patched = [sequences._next_term, sequences._pack_pair, vars(sequences._Terms).copy()]
+    assert store_counts.counts(work) == {
+        "ring steps": 9 + 11 + 11,
+        "packed steps": 39,
+        "pack_pair calls": 5,
+        "entries created": 4,
+        "drop_terms calls": 4,
+        "real demotions": 4,
+    }
+    # and the counted functions are the store's own again
+    assert patched == [sequences._next_term, sequences._pack_pair, vars(sequences._Terms)]
+
+
+def test_store_counts_print_the_same_counts_from_an_empty_store(monkeypatch, capsys):
+    outputs = []
+    for _ in range(2):
+        with monkeypatch.context() as patch:
+            patch.setattr(sequences, "_pairs", {})
+            patch.setattr(sequences, "_pairs_size", 0)
+            assert store_counts.main(["6", "3", "EQ12,EQ24"]) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    assert outputs[0] == outputs[1]
+    counted = dict(line.rsplit(None, 1) for line in outputs[0])
+    assert list(counted) == list(store_counts.LABELS)
+    assert int(counted["entries created"]) > 0 and int(counted["packed steps"]) > 0
