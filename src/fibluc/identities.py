@@ -17,7 +17,8 @@ from typing import Callable
 
 from ._seqcache import fib_poly, luc_poly
 from .poly import BivarPoly, DELTA, DISCRIMINANT, QuadExtElem, X, Y, ZERO, binary_power
-from .report import CellResult, CheckReport, DomainError, check_cell, grid_axis, select_ids
+from .report import CellResult, CheckReport, DomainError, check_cell, grid_axis, grid_cells
+from .report import select_ids
 from .sequences import (
     PolyMatrix2,
     SeqKind,
@@ -75,32 +76,25 @@ def _binomial_matrix_sum(n: int, shift: int = 0) -> PolyMatrix2:
     With c_k = C(n, k) (2y)^(n-k) x^k, T starts at zero and each step for
     k = n .. 0 is T -> T*A + c_k I; the sum is T*A^shift.  Every entry is
     graded: c_k A^k weighs 2n, 2n - 1, 2n + 1 and 2n, so T runs on packed
-    ints (:func:`_binomial_matrix_image`, through
-    :func:`sequences._packed_run`, with no values to pack).  Every
-    coefficient is nonnegative, so the image at s = 0, the value at (1, 1),
-    is the exact bound.
+    ints (``run``, through :func:`sequences._packed_run`, with no values to
+    pack).  Every coefficient is nonnegative, so the image at s = 0, the
+    value at (1, 1), is the exact bound.
     """
+
+    def run(s):
+        # at x -> 1, y -> 2^s, right multiplication by A = [[x, 1], [y, 0]] maps
+        # each row (t1, t2) of T to (t1 + (t2 << s), t1), c_k is
+        # C(n, k) 2^(n-k) << s(n-k), and A^shift is [[1, 1], [2^s, 0]] raised, or
+        # the scalar 1 for shift 0
+        t11 = t12 = t21 = t22 = 0
+        for k in range(n, -1, -1):
+            c = binomial(n, k) << (n - k) * (s + 1)
+            t11, t12, t21, t22 = t11 + (t12 << s) + c, t11, t21 + (t22 << s), t21 + c
+        t = PolyMatrix2(t11, t12, t21, t22) * binary_power(PolyMatrix2(1, 1, 1 << s, 0), shift, 1)
+        return t.e11, t.e12, t.e21, t.e22
+
     w = 2 * n + shift
-    sums = _packed_run(lambda s: _binomial_matrix_image(n, shift, s), (), (w, w - 1, w + 1, w))
-    return PolyMatrix2(*sums)
-
-
-def _binomial_matrix_image(n: int, shift: int, s: int) -> tuple[int, int, int, int]:
-    """The four ints of :func:`_binomial_matrix_sum` at x -> 1, y -> 2^s, row by row.
-
-    Right multiplication by A = [[x, 1], [y, 0]] maps each row (t1, t2) of
-    T to (x*t1 + y*t2, t1), here (t1 + (t2 << s), t1), and c_k is
-    C(n, k) 2^(n-k) << s(n-k).  A^shift is the int matrix [[1, 1], [2^s, 0]]
-    raised by binary squaring.
-    """
-    t11 = t12 = t21 = t22 = 0
-    for k in range(n, -1, -1):
-        c = binomial(n, k) << (n - k) * (s + 1)
-        t11, t12, t21, t22 = t11 + (t12 << s) + c, t11, t21 + (t22 << s), t21 + c
-    total = PolyMatrix2(t11, t12, t21, t22)
-    if shift:
-        total = total * binary_power(PolyMatrix2(1, 1, 1 << s, 0), shift, None)
-    return total.e11, total.e12, total.e21, total.e22
+    return PolyMatrix2(*_packed_run(run, (), (w, w - 1, w + 1, w)))
 
 
 # -- the catalog --------------------------------------------------------------
@@ -382,6 +376,8 @@ def run_catalog(
     selected = select_ids(build_catalog() if cases is None else cases, ids, "identity")
     cells: list[CellResult] = []
     for case in selected:
-        ks = range(case.k_min, k_max + 1) if case.is_binary else [None]
-        cells += [check_case(case, n, k) for n in range(case.n_min, n_max + 1) for k in ks]
+        axes = [("n", range(case.n_min, n_max + 1)), ("k", range(case.k_min, k_max + 1))]
+        # a unary case walks n alone; check_case is read by its module-level
+        # name at each cell, as bench/tracer.py patches it
+        cells += grid_cells(axes[: 1 + case.is_binary], lambda point: check_case(case, **point))
     return CheckReport.from_cells(cells)

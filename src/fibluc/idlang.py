@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from .poly import BivarPoly, DELTA, QuadExtElem, X, Y, ZERO, _grow_powers
-from .report import CheckReport, DomainError, check_cell, grid_axis
+from .report import CellResult, CheckReport, DomainError, check_cell, grid_axis, grid_cells
 from .sequences import SeqKind, binomial, seq
 
 _RESERVED = {"x", "y", "D", "F", "L", "binom", "sum"}
@@ -695,14 +695,13 @@ def check(ast: Eq, ranges: Mapping[str, tuple[int, int]], case_id: str = "user")
     if missing:
         raise ValueError(f"no range given for meta-variable(s): {', '.join(missing)}")
 
-    ns, ks = (grid_axis(name, *ranges[name]) if name in free else [None] for name in ("n", "k"))
-    cells = []
-    for n in ns:
-        for k in ks:
-            env = {name: value for name, value in (("n", n), ("k", k)) if value is not None}
-            cell = check_cell(case_id, n, k, lambda: (ast.lhs._eval(env), ast.rhs._eval(env)))
-            cells.append(cell)
-    return CheckReport.from_cells(cells)
+    axes = [(name, grid_axis(name, *ranges[name])) for name in ("n", "k") if name in free]
+
+    def cell(env: dict) -> CellResult:
+        n, k = env.get("n"), env.get("k")
+        return check_cell(case_id, n, k, lambda: (ast.lhs._eval(env), ast.rhs._eval(env)))
+
+    return CheckReport.from_cells(grid_cells(axes, cell))
 
 
 # -- rendering --------------------------------------------------------------------

@@ -46,6 +46,15 @@ def _coefficient(value: _Coeff) -> _Coeff:
     raise TypeError(f"not a rational coefficient: {value!r}")
 
 
+def _index(value, what: str) -> int:
+    """``value``, an index or exponent: a nonnegative int, or ValueError naming ``what``."""
+    if not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {value}")
+    return value
+
+
 class _Ring:
     """Subtraction for both ring value types: addition of the negation.
 
@@ -505,8 +514,7 @@ def binary_power(base, exponent: int, one):
     exponent 0 only: any other power starts from its first factor, so no
     product is taken with ``one`` and ``base**1`` is ``base``.
     """
-    if not isinstance(exponent, int) or exponent < 0:
-        raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
+    _index(exponent, "exponent")
     result = None
     while exponent:
         if exponent & 1:

@@ -52,15 +52,31 @@ def check_cell(case_id: str, n: int | None, k: int | None, sides) -> CellResult:
 def grid_axis(name: str, low: int, high: int) -> range:
     """The values ``low`` .. ``high`` of the grid axis ``name``.
 
-    The one rule for every grid axis: an empty axis raises ``ValueError``,
-    because it would check no cell, and so does an axis of more than
-    ``sys.maxsize`` values, the most a list can hold.
+    The one rule for every grid axis: a bound that is not an int raises
+    ``ValueError``, and so do an empty axis, because it would check no cell,
+    and an axis of more than ``sys.maxsize`` values, the most a list can hold.
     """
+    if not (isinstance(low, int) and isinstance(high, int)):
+        raise ValueError(f"range '{name}={low}..{high}' has a bound that is not an integer")
     if low > high:
         raise ValueError(f"empty range '{name}={low}..{high}': low bound above high bound")
     if high - low >= sys.maxsize:
         raise ValueError(f"range '{name}={low}..{high}' has more than {sys.maxsize} values")
     return range(low, high + 1)
+
+
+def grid_cells(axes: list, cell, point: tuple = ()) -> list[CellResult]:
+    """``cell(point)`` at each point of the product of the named ``axes``, in order.
+
+    ``axes`` is a list of (name, values), the first axis outermost, and a
+    point is a dict of each name's value; with no axes there is one empty
+    point.  The walk reads each axis as it goes and lists none ahead, so a
+    cell that raises ends it there.  (Within the walk, ``point`` holds the
+    values of the outer axes.)
+    """
+    if len(point) < len(axes):
+        return [c for value in axes[len(point)][1] for c in grid_cells(axes, cell, (*point, value))]
+    return [cell({name: value for (name, _), value in zip(axes, point)})]
 
 
 def select_ids(items: list, ids: list[str] | None, what: str) -> list:

@@ -48,7 +48,7 @@ from math import comb
 from typing import Iterator, NamedTuple
 
 from .poly import DISCRIMINANT, ONE, BivarPoly, QuadExtElem, X, Y, ZERO, binary_power
-from .poly import _grade, _pack, _poly, _unpack
+from .poly import _coefficient, _grade, _index, _pack, _poly, _unpack
 
 
 class SeqKind(Enum):
@@ -323,13 +323,15 @@ def _types(value):
 
     Equal values can differ here (x with coefficient 1 or Fraction(1)), and
     their terms would differ in the same way.  A deferred product is a
-    :class:`BivarPoly` here too.
+    :class:`BivarPoly` here too.  A plain value must be a coefficient that a
+    :class:`BivarPoly` takes, or it raises that class's TypeError.
     """
     kind = type(value)
     if kind is QuadExtElem:
         return kind, _types(value.a), _types(value.b)
     if isinstance(value, BivarPoly):
         return BivarPoly, frozenset(map(type, value._terms.values()))
+    _coefficient(value)
     return kind
 
 
@@ -363,7 +365,9 @@ def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
     Any other pair has a :class:`_Terms` entry per kind, as the module
     docstring describes, keyed by the kind and the argument pair with their
     types and coefficient types, so only arguments that compute alike share
-    one, and the arguments must be hashable.  A call hashes its key once;
+    one, and the arguments must be hashable.  A plain argument that is not
+    an int or a Fraction raises :class:`BivarPoly`'s coefficient TypeError,
+    and leaves the store as it was.  A call hashes its key once;
     a list read only stamps the entry, as every call leaves the store within
     its bounds.  Past ``_WALKS_MAX`` pairs the lowest stamp goes, and past
     ``_PAIRS_BYTES`` in all the lowest stamps give up their lists; such a
@@ -372,10 +376,7 @@ def seq(kind: SeqKind, n: int, x_arg=X, y_arg=Y):
     walk it once.
     """
     global _built_size, _pairs_size
-    if not isinstance(n, int):
-        raise ValueError(f"sequence index must be an integer, got {n}")
-    if n < 0:
-        raise ValueError(f"sequence index must be nonnegative, got {n}")
+    _index(n, "sequence index")
     with _lock:
         if x_arg is X and y_arg is Y:
             term = _built.get((kind, n))
@@ -427,11 +428,9 @@ def binomial(n: int, k: int) -> int:
 
     An index that is not an int, or a negative n, raises ValueError.
     """
-    if not (isinstance(n, int) and isinstance(k, int)):
-        bad = k if isinstance(n, int) else n
-        raise ValueError(f"binomial index must be an integer, got {bad!r}")
-    if n < 0:
-        raise ValueError(f"upper index must be nonnegative, got {n}")
+    _index(n, "binomial upper index")
+    if not isinstance(k, int):
+        raise ValueError(f"binomial lower index must be an integer, got {k!r}")
     return comb(n, k) if k >= 0 else 0
 
 
@@ -600,10 +599,7 @@ def binomial_sum(m: int, a, b):
     with ``b`` per term.  An index that is not a nonnegative int raises
     ValueError.
     """
-    if not isinstance(m, int):
-        raise ValueError(f"index must be an integer, got {m!r}")
-    if m < 0:
-        raise ValueError(f"index must be nonnegative, got {m}")
+    _index(m, "binomial sum index")
     grading = _grading((a, ZERO, ZERO, b))
     if grading is None:
         return _binomial_horner(m, a, b)

@@ -1,5 +1,7 @@
 """The identity catalog: structure, spot checks, negative controls."""
 
+import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -14,12 +16,15 @@ from fibluc import (
     BivarPoly,
     build_catalog,
     catalog_by_id,
+    check,
     check_case,
     fib,
     luc,
+    parse,
     run_catalog,
 )
 from fibluc import identities, sequences
+from fibluc.report import grid_cells
 from oracles import d_add, d_mul, poly_fib
 
 EXPECTED_IDS = [f"EQ{i:02d}" for i in range(1, 32)]
@@ -109,6 +114,39 @@ def test_run_catalog_rejects_an_empty_id_list():
 def test_run_catalog_rejects_bad_bounds():
     with pytest.raises(ValueError):
         run_catalog(0, 3)
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: run_catalog(3.0, 2), "n=0..3.0"),
+        (lambda: check(parse("F[n] = F[n]"), {"n": (0, 2.5)}), "n=0..2.5"),
+        (lambda: check(parse("F[n] = F[n]"), {"n": (0, "2")}), "n=0..2"),
+    ],
+    ids=["catalog-float", "check-float", "check-str"],
+)
+def test_a_grid_bound_that_is_not_an_int_is_refused(call, shown):
+    # before, range() or ``>`` raised TypeError
+    message = f"^range '{re.escape(shown)}' has a bound that is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_grid_cells_walk_the_first_axis_outermost():
+    axes = [("n", range(2)), ("k", range(3, 5))]
+    points = [{"n": 0, "k": 3}, {"n": 0, "k": 4}, {"n": 1, "k": 3}, {"n": 1, "k": 4}]
+    assert grid_cells(axes, dict) == points
+    assert grid_cells([], dict) == [{}]
+    assert grid_cells([("n", range(3)), ("k", [])], dict) == []
+
+
+def test_grid_cells_read_each_axis_as_they_go():
+    # a cell that raises ends the walk, so an axis of sys.maxsize values is never listed
+    def cell(point):
+        raise DomainError(f"at {point}")
+
+    with pytest.raises(DomainError, match=r"^at \{'n': 0, 'k': 0\}$"):
+        grid_cells([("n", range(sys.maxsize)), ("k", range(sys.maxsize))], cell)
 
 
 def test_corrupted_case_fails_with_rendered_sides():

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import random
 import sys
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -27,7 +28,7 @@ from fibluc import (
     parse_expression,
     render,
 )
-from fibluc import idlang
+from fibluc import idlang, sequences
 from fibluc.idlang import (
     MAX_DEPTH,
     Add,
@@ -48,6 +49,7 @@ from fibluc.idlang import (
     _offset,
     _tokenize,
 )
+import oracles
 from oracles import poly_luc, tokenize
 
 
@@ -558,6 +560,94 @@ def test_ints_and_monomials_take_no_power_table(monkeypatch, source, tabled):
     monkeypatch.setattr(idlang, "_grow_powers", grow)
     evaluate(parse_expression(source), {"n": 4})
     assert bool(grown) is tabled
+
+
+# -- the reference evaluator ----------------------------------------------------------
+
+
+def _index_of(a, name, b):
+    """The index ``a*name + b``."""
+    return Add(Mul(IntLit(a), MetaVar(name)), IntLit(b))
+
+
+#: Argument pairs of the catalog's substitutions, graded ones (whose lists fill
+#: on packed ints) and others, D pairs among them.
+_ARGUMENT_PAIRS = [
+    tuple(map(parse_expression, pair))
+    for pair in [
+        ("x", "y"),
+        ("2*x", "y"),
+        ("D", "-y"),
+        ("x^2 + 2*y", "-y^2"),
+        ("L[k]", "-(-y)^k"),
+        ("D*F[k]", "(-y)^k"),
+        ("x + y", "1"),
+        ("x", "x*y"),
+        ("3", "-2"),
+    ]
+]
+
+_SEQ_APPS = st.builds(
+    SeqApp,
+    st.sampled_from("FL"),
+    st.builds(_index_of, st.integers(0, 12), st.sampled_from("nk"), st.integers(0, 40)),
+    st.none()
+    | st.sampled_from(_ARGUMENT_PAIRS)
+    | st.tuples(_expression_asts(depth=1), _expression_asts(depth=1)),
+)
+
+
+@st.composite
+def _seq_expressions(draw):
+    """One to four F/L applications at indices a*n + b or a*k + b (a <= 12,
+    b <= 40), joined left to right by +, - and *."""
+    node = draw(_SEQ_APPS)
+    for app in draw(st.lists(_SEQ_APPS, max_size=3)):
+        node = draw(st.sampled_from([Add, Sub, Mul]))(node, app)
+    return node
+
+
+def _assert_the_reference_agrees(node, n, k):
+    """``evaluate`` against ``oracles.evaluate`` on a fresh term store: equal
+    values, or a domain error from both.  A case past the reference's caps is
+    skipped."""
+    binding = {"n": n, "k": k}
+    try:
+        expected = oracles.evaluate(node, binding)
+    except oracles.TooCostly:
+        assume(False)
+    except ValueError:
+        expected = ValueError
+    with mock.patch.multiple(sequences, _pairs={}, _pairs_size=0):
+        try:
+            value = evaluate(node, binding)
+        except DomainError:
+            value = ValueError
+    if isinstance(value, QuadExtElem):
+        value = value.a.terms, value.b.terms
+    elif value is not ValueError:
+        value = value.terms, {}
+    assert value == expected, render(node)
+
+
+@given(_expression_asts(), st.integers(0, 6), st.integers(0, 6))
+# a sum's power tables: (x + y)^j for j = 0..n, and D's powers
+@example(parse_expression("sum(j=0..n, (x + y)^j * F[j] + D^j)"), 5, 0)
+def test_the_reference_evaluator_agrees_on_any_expression(node, n, k):
+    _assert_the_reference_agrees(node, n, k)
+
+
+@given(_seq_expressions(), st.integers(0, 6), st.integers(0, 6))
+# a deferred product, F_40 * F_41, read when evaluate returns
+@example(parse_expression("F[6*n + 4] * F[6*n + 5]"), 6, 0)
+# the packed list fills of two D pairs, (D, -y) and (D*F_3, -y^3)
+@example(parse_expression("F[12*n + 2](D, -y) - L[k + 30](D*F[k], (-y)^k)"), 4, 3)
+# slots that need every bit of their width: the packed fill of (2x, y) to F_52,
+# and F_7 * L_43, whose product needs the bits of its term count
+@example(parse_expression("F[8*n + 4](2*x, y)"), 6, 0)
+@example(parse_expression("F[n + 1] * L[6*n + 7]"), 6, 0)
+def test_the_reference_evaluator_agrees_on_sequence_products(node, n, k):
+    _assert_the_reference_agrees(node, n, k)
 
 
 # -- the parser's shortcuts ------------------------------------------------------------

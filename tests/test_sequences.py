@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 from math import comb
@@ -93,6 +94,56 @@ def test_a_kind_that_is_not_a_seq_kind_raises_and_stores_nothing(monkeypatch, ar
     assert sequences._pairs_size == 0
     with pytest.raises(ValueError, match="sequence kind must be a SeqKind"):
         next(seq_terms("F", *args))
+
+
+#: Each public entry point that takes an index or exponent, with the name its
+#: ValueError gives that argument.
+_INDEXED_CALLS = {
+    "seq": (lambda i: seq(SeqKind.FIB, i), "sequence index"),
+    "fib": (lambda i: fib(i, 2 * X, Y), "sequence index"),
+    "luc": (lambda i: luc(i, 1, 1), "sequence index"),
+    "binomial-upper": (lambda i: binomial(i, 1), "binomial upper index"),
+    "binomial-lower": (lambda i: binomial(5, i), "binomial lower index"),
+    "binomial_sum": (lambda i: sequences.binomial_sum(i, X * X, Y), "binomial sum index"),
+    "power_entry_factor": (lambda i: power_entry_factor(X, -Y, i), "binomial sum index"),
+    "binary_power": (lambda i: binary_power(X + Y, i, ONE), "exponent"),
+    "poly-pow": (lambda i: X**i, "exponent"),
+    "quadext-pow": (lambda i: DELTA**i, "exponent"),
+    "matrix_pow": (lambda i: matrix_pow(matrix_A(), i), "exponent"),
+    "alpha_power": (lambda i: alpha_power(i), "sequence index"),
+}
+
+
+@pytest.mark.parametrize("entry", list(_INDEXED_CALLS))
+@pytest.mark.parametrize("bad", [2.0, "3", None, -1])
+def test_every_index_is_checked_by_one_rule(entry, bad):
+    call, what = _INDEXED_CALLS[entry]
+    if entry == "binomial-lower" and bad == -1:
+        assert call(bad) == 0  # a negative lower index is in range, and gives 0
+        return
+    if bad == -1:
+        message = f"^{what} must be nonnegative, got -1$"
+    else:
+        message = f"^{what} must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1.5, 1), (Decimal(1), 1), (1 + 0j, 1), (X, 1.5)],
+    ids=["float", "decimal", "complex", "float-y"],
+)
+def test_a_plain_argument_that_is_not_rational_raises_before_the_store(args):
+    # the rule of BivarPoly's coefficients; before, 1.5 as x raised AttributeError
+    # from the size measure, and as y TypeError after an entry was stored
+    before = len(sequences._pairs), sequences._pairs_size
+    bad = next(arg for arg in args if not isinstance(arg, (int, BivarPoly)))
+    with pytest.raises(TypeError, match=f"^not a rational coefficient: {re.escape(repr(bad))}$"):
+        fib(5, *args)
+    with pytest.raises(TypeError, match="^not a rational coefficient"):
+        BivarPoly({(0, 0): bad})
+    assert (len(sequences._pairs), sequences._pairs_size) == before
 
 
 def test_cached_tables_match_oracle():
@@ -838,7 +889,7 @@ def test_matrix_pow_small_cases():
 
 
 def test_matrix_pow_rejects_a_negative_exponent():
-    with pytest.raises(ValueError, match="exponent must be a nonnegative integer, got -1"):
+    with pytest.raises(ValueError, match="^exponent must be nonnegative, got -1$"):
         matrix_pow(matrix_A(), -1)
 
 
@@ -920,7 +971,7 @@ def test_matrices_with_no_grading_keep_binary_squaring(matrix):
         expected = binary_power(matrix, n, matrix.identity_like())
         assert power == expected
         assert list(map(_types, _entries(power))) == list(map(_types, _entries(expected)))
-    with pytest.raises(ValueError, match="exponent must be a nonnegative integer, got -1"):
+    with pytest.raises(ValueError, match="^exponent must be nonnegative, got -1$"):
         matrix_pow(matrix, -1)
 
 
@@ -1001,7 +1052,8 @@ def test_binomial_values():
     "n, k, shown", [(2.0, 1, "2.0"), (5, 2.0, "2.0"), ("5", 2, "'5'"), (5, -1.5, "-1.5")]
 )
 def test_binomial_rejects_an_index_that_is_not_an_int(n, k, shown):
-    message = f"^binomial index must be an integer, got {re.escape(shown)}$"
+    which = "lower" if isinstance(n, int) else "upper"
+    message = f"^binomial {which} index must be an integer, got {re.escape(shown)}$"
     with pytest.raises(ValueError, match=message):
         binomial(n, k)
 
