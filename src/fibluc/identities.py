@@ -353,8 +353,9 @@ def check_case(case: IdentityCase, n: int, k: int | None = None) -> CellResult:
 
 def check_grid_bounds(n_max: int, k_max: int) -> None:
     """The grid upper bounds every catalog or corpus run needs: each at
-    least 1, and each axis 0..bound one that ``report.grid_axis`` accepts."""
-    if n_max < 1 or k_max < 1:
+    least 1, and each axis 0..bound one that ``report.grid_axis`` accepts,
+    which refuses a bound that is not an int first."""
+    if isinstance(n_max, int) and isinstance(k_max, int) and min(n_max, k_max) < 1:
         raise ValueError("n_max and k_max must be at least 1")
     grid_axis("n", 0, n_max)
     grid_axis("k", 0, k_max)

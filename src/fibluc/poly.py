@@ -10,8 +10,10 @@ Large products of weighted-homogeneous integer polynomials (every term has
 the same weight ``i + 2*j``, as in F_n and L_n) are computed with one
 integer multiply (Kronecker packing); results are unchanged.  Such a product
 stays packed until its terms are read: products, sums, negations and ``==``
-of such values run on the packed ints where the bounds allow, and the first
-read of the terms unpacks it once (see :class:`_LazyPoly`).  A square,
+of such values, and ``==`` with a plain value of one weight, run on the
+packed ints where the bounds allow, and the first read of the terms unpacks
+it once (see :class:`_LazyPoly`).  Each plain value is graded for packing
+once, at its first use.  A square,
 one operand times itself (as binary squaring and repeated reads of one
 stored term give), packs that operand once and squares the int.  Operands
 that the substituted arguments of the identities make often skip the
@@ -27,7 +29,7 @@ equation ``t^2 = x*t + y``, which lets root powers and square-root-valued
 substitution arguments be manipulated without leaving exact arithmetic.
 
 All values are immutable, so an operation may return one of its operands
-(``p + 0`` is ``p``, and so is ``p ** 1``).
+(``p + 0`` is ``p``, and so are ``p ** 1`` and ``p * ONE``).
 """
 
 from __future__ import annotations
@@ -74,8 +76,9 @@ class _Ring:
 class BivarPoly(_Ring):
     """Sparse bivariate polynomial in x and y with rational coefficients."""
 
-    # ``_image`` is set on a deferred product alone (see :class:`_LazyPoly`)
-    __slots__ = ("_terms", "_image")
+    # ``_image`` is set on a deferred product alone (see :class:`_LazyPoly`),
+    # ``_memo`` on a plain value once :func:`_graded` has graded it
+    __slots__ = ("_terms", "_image", "_memo")
 
     def __init__(self, terms: Mapping[Monomial, _Coeff] | None = None) -> None:
         clean: dict[Monomial, _Coeff] = {}
@@ -141,6 +144,10 @@ class BivarPoly(_Ring):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        if rhs is ONE:
+            return self
+        if self is ONE:
+            return rhs
         a, b = self._terms, rhs._terms
         few, many = (a, b) if len(a) <= len(b) else (b, a)
         if len(few) <= 1:
@@ -288,14 +295,21 @@ def _graded(value: BivarPoly) -> tuple | None:
 
     A deferred value gives its image and counts its slots, from ``low`` to
     ``weight // 2``; a plain one gives no packed int, width 0, its
-    :func:`_grade` and its number of terms.
+    :func:`_grade` and its number of terms, graded at its first use alone:
+    the result, None too, stays in its ``_memo`` slot.  Values are
+    immutable, so a racing thread writes the same tuple, and a pickle or
+    copy starts without it.  ``sequences._build`` sets it as it builds.
     """
     image = value._image if type(value) is _LazyPoly else None
     if image is not None:
         return (*image, image[2] // 2 - image[3] + 1)
-    terms = value._terms
-    grade = _grade(terms) if terms else None
-    return None if grade is None else (None, 0, *grade, len(terms))
+    try:
+        return value._memo
+    except AttributeError:  # not graded yet
+        terms = value._terms
+        grade = _grade(terms) if terms else None
+        value._memo = graded = None if grade is None else (None, 0, *grade, len(terms))
+        return graded
 
 
 def _packed_product(a: BivarPoly, b: BivarPoly) -> BivarPoly | None:
@@ -349,7 +363,10 @@ class _LazyPoly(BivarPoly):
     with another deferred value, is :func:`_packed_product`'s, which stays
     on this value's int where its width holds the result's bound.  A sum,
     and ``==``, of two values deferred at one width and one weight run on
-    the ints where the bound allows.  Anything else unpacks and takes the
+    the ints where the bound allows, and so does ``==`` with a plain int
+    polynomial of one weight: another weight, or a coefficient past this
+    value's bound, is unequal, and else that value packs at this width.
+    Anything else unpacks and takes the
     base class's method, so values, coefficient types
     and hashes are those of the eager product.  Being a subclass that
     overrides them, its reflected operators run first in ``plain * value``,
@@ -410,10 +427,19 @@ class _LazyPoly(BivarPoly):
         if rhs is None:
             return NotImplemented
         pair = _aligned(self, rhs)
-        if pair is None:
+        if pair is not None:
+            # each coefficient fits its signed slot, so equal ints are equal terms
+            return pair[0] == pair[1]
+        image = self._image
+        graded = _graded(rhs) if image is not None and type(rhs) is BivarPoly else None
+        if graded is None:
             return BivarPoly.__eq__(self, rhs)
-        # each coefficient fits its signed slot, so equal ints are equal terms
-        return pair[0] == pair[1]
+        packed, s, weight, low, bits = image
+        if graded[2] != weight or graded[4] > bits:
+            return False
+        # below 2^bits, the plain coefficients fit the slots too
+        base = min(low, graded[3])
+        return packed << s * (low - base) == _pack(rhs._terms, s, base)
 
     __hash__ = BivarPoly.__hash__
 

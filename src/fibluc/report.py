@@ -65,18 +65,23 @@ def grid_axis(name: str, low: int, high: int) -> range:
     return range(low, high + 1)
 
 
-def grid_cells(axes: list, cell, point: tuple = ()) -> list[CellResult]:
+def grid_cells(axes: list, cell, outer: dict | None = None) -> list[CellResult]:
     """``cell(point)`` at each point of the product of the named ``axes``, in order.
 
     ``axes`` is a list of (name, values), the first axis outermost, and a
     point is a dict of each name's value; with no axes there is one empty
     point.  The walk reads each axis as it goes and lists none ahead, so a
-    cell that raises ends it there.  (Within the walk, ``point`` holds the
-    values of the outer axes.)
+    cell that raises ends it there.  It recurses once per point of the
+    outer axes, whose values ``outer`` holds, and walks the innermost axis
+    in one comprehension, each cell with a point of its own.
     """
-    if len(point) < len(axes):
-        return [c for value in axes[len(point)][1] for c in grid_cells(axes, cell, (*point, value))]
-    return [cell({name: value for (name, _), value in zip(axes, point)})]
+    if not axes:
+        return [cell({})]
+    (name, values), *inner = axes
+    outer = outer or {}
+    if inner:
+        return [c for value in values for c in grid_cells(inner, cell, {**outer, name: value})]
+    return [cell({**outer, name: value}) for value in values]
 
 
 def select_ids(items: list, ids: list[str] | None, what: str) -> list:

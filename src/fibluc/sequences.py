@@ -221,7 +221,9 @@ def _build(kind: SeqKind, m: int) -> BivarPoly:
     C(m-j, j) x^(m-2j) y^j.  With t = m - 1 for F and t = m for L, the
     coefficient of x^(t-2j) y^j is the one before times (t-2j+2)(t-2j+1) /
     (j(m-j)), an exact division: no ring product runs, and every coefficient
-    is an int, as in the ring step's terms.
+    is an int, as in the ring step's terms.  The term comes graded (see
+    ``poly._graded``): weight t, lowest y-exponent 0, and the exact bit
+    length of its largest coefficient, all of them positive.
     """
     if not isinstance(kind, SeqKind):
         raise ValueError(f"sequence kind must be a SeqKind, got {kind!r}")
@@ -231,23 +233,34 @@ def _build(kind: SeqKind, m: int) -> BivarPoly:
         if j:
             c = c * (top - 2 * j + 2) * (top - 2 * j + 1) // (j * (m - j))
         terms[top - 2 * j, j] = c
-    return _poly(terms)
+    term = _poly(terms)
+    term._memo = (None, 0, top, 0, max(terms.values()).bit_length(), len(terms)) if terms else None
+    return term
 
 
 def _packed_next_term(packed: _Packed, m: int):
-    """u_m from the packed u_{m-2} and u_{m-1}, and the packed pair of u_{m-1} and u_m.
+    """u_m from the packed u_{m-2} and u_{m-1}, its size, and the packed pair of u_{m-1} and u_m.
 
     The step of :func:`_next_term` on ints, by :func:`_step`.  u_m is
-    unpacked once, with the ring step's value and int coefficients.
+    unpacked once, with the ring step's value and int coefficients; a zero
+    part is not unpacked.  Its size and the pair's are :func:`_size`'s,
+    taken on the dicts just unpacked and on the four ints.
     """
     s, cover, w, weight_0, quad, factors, a0, b0, a1, b1, _ = packed
     a2, b2 = _step(factors, a0, b0, a1, b1)
     weight = weight_0 + m * w
-    term = _poly(_unpack(a2, s, weight))
+    parts, size = [], 0
+    for c, part_weight in [(a2, weight), (b2, weight - 1)] if quad else [(a2, weight)]:
+        terms = _unpack(c, s, part_weight) if c else {}
+        size += _MONOMIAL_BYTES * len(terms) + sum(map(int.bit_length, terms.values())) // 8
+        parts.append(_poly(terms))
+    term = parts[0]
     if quad:
-        term = QuadExtElem(term, _poly(_unpack(b2, s, weight - 1)))
+        term = QuadExtElem.__new__(QuadExtElem)
+        term._a, term._b = parts
     ints = a1, b1, a2, b2
-    return term, _Packed(s, cover, w, weight_0, quad, factors, *ints, sum(map(_size, ints)))
+    ints_size = 4 * _MONOMIAL_BYTES + sum([c.bit_length() // 8 for c in ints])
+    return term, size, _Packed(s, cover, w, weight_0, quad, factors, *ints, ints_size)
 
 
 class _Terms:
@@ -283,12 +296,13 @@ class _Terms:
             packed = self.packed
             if packed is None:
                 u_next = _next_term(x_arg, y_arg, terms[-2], terms[-1])
+                u_size = _size(u_next)
             else:
                 if packed.cover < m:
                     packed = _pack_pair(kind, x_arg, y_arg, terms[-2], terms[-1], m - 1)
-                u_next, packed = _packed_next_term(packed, m)
+                u_next, u_size, packed = _packed_next_term(packed, m)
             kept = self.size - (self.packed.size if self.packed else 0)
-            size = kept + _size(u_next) + (packed.size if packed else 0)
+            size = kept + u_size + (packed.size if packed else 0)
             if 2 * size > _TERMS_BYTES:
                 self.size = kept
                 self.packed = None

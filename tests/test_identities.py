@@ -122,8 +122,12 @@ def test_run_catalog_rejects_bad_bounds():
         (lambda: run_catalog(3.0, 2), "n=0..3.0"),
         (lambda: check(parse("F[n] = F[n]"), {"n": (0, 2.5)}), "n=0..2.5"),
         (lambda: check(parse("F[n] = F[n]"), {"n": (0, "2")}), "n=0..2"),
+        # before, check_grid_bounds's ``< 1`` raised TypeError on these
+        (lambda: run_catalog("3", 2), "n=0..3"),
+        (lambda: run_catalog(3, None), "k=0..None"),
+        (lambda: run_catalog(3, 2.0), "k=0..2.0"),
     ],
-    ids=["catalog-float", "check-float", "check-str"],
+    ids=["catalog-float", "check-float", "check-str", "catalog-str", "catalog-none", "catalog-k-float"],
 )
 def test_a_grid_bound_that_is_not_an_int_is_refused(call, shown):
     # before, range() or ``>`` raised TypeError
@@ -138,6 +142,12 @@ def test_grid_cells_walk_the_first_axis_outermost():
     assert grid_cells(axes, dict) == points
     assert grid_cells([], dict) == [{}]
     assert grid_cells([("n", range(3)), ("k", [])], dict) == []
+
+
+def test_grid_cells_give_each_cell_a_point_of_its_own():
+    points = grid_cells([("n", range(2)), ("k", range(3))], lambda point: point)
+    assert len({id(point) for point in points}) == 6
+    assert points[-1] == {"n": 1, "k": 2}
 
 
 def test_grid_cells_read_each_axis_as_they_go():

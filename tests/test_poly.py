@@ -347,6 +347,107 @@ def test_a_product_whose_bound_reaches_a_deferred_width_is_packed_wider():
         assert product.terms == expected
 
 
+#: plain sides set against a deferred product (see the test below)
+_PLAIN_SIDES = [
+    "equal",
+    "changed",
+    "lowest dropped",
+    "other weight",
+    "past the bound",
+    "at the bound",
+    "slot edge",
+    "fraction",
+    "zero",
+    "two weights",
+]
+
+
+@given(homogeneous_polys(), homogeneous_polys(), st.sampled_from(_PLAIN_SIDES), st.data())
+def test_a_deferred_product_equals_a_plain_value_as_their_terms_do(a, b, side, data):
+    def product():
+        value = a * b
+        assert type(value) is _LazyPoly
+        return value
+
+    unpacked = product()
+    terms = unpacked.terms
+    # a plain value is graded once, as _grade grades its terms
+    assert poly._graded(unpacked) == (None, 0, *poly._grade(terms), len(terms)) == unpacked._memo
+    _, s, weight, _, bits = product()._image
+    # a slot of any y-exponent, below the product's lowest one too
+    j = data.draw(st.integers(0, weight // 2))
+    mono, sign = (weight - 2 * j, j), data.draw(st.sampled_from([1, -1]))
+    lowest = min(terms, key=lambda m: m[1])
+    sides = {
+        "changed": {**terms, mono: terms.get(mono, 0) + sign * data.draw(st.integers(1, 2**bits))},
+        "lowest dropped": {m: c for m, c in terms.items() if m != lowest},
+        "other weight": {(i + 1, e): c for (i, e), c in terms.items()},
+        "past the bound": {**terms, mono: sign * 2**bits},
+        "at the bound": {**terms, mono: sign * (2**bits - 1)},
+        "slot edge": {**terms, mono: sign * (2 ** (s - 1) - 1)},
+        "fraction": {**terms, mono: Fraction(terms.get(mono, 1))},
+        "zero": {},
+        "two weights": {**terms, (weight + 1, 0): sign},
+    }
+    plain = BivarPoly(sides.get(side, terms))
+    expected = BivarPoly(dict(terms)) == plain
+    assert expected or side != "equal"
+    graded = bool(plain) and poly._grade(plain.terms) is not None
+    for value, compared in [(product(), lambda v: v == plain), (product(), lambda v: plain == v)]:
+        assert compared(value) is expected
+        # compared on the ints, without unpacking
+        assert (type(value) is _LazyPoly and value._image is not None) is graded
+
+
+def test_a_stored_term_is_graded_once_across_products(monkeypatch):
+    calls, real = [], poly._grade
+    monkeypatch.setattr(poly, "_grade", lambda terms: calls.append(len(terms)) or real(terms))
+    stored, plain = fib_poly(130), BivarPoly(luc_poly(131).terms)
+    expected = d_mul(poly_fib(130), poly_luc(131))
+    for _ in range(3):
+        assert (stored * plain).terms == expected
+        assert (stored * stored).terms == d_mul(poly_fib(130), poly_fib(130))
+    # the stored term came graded from its build, the plain one at its first product
+    assert calls == [66]
+
+
+def test_threads_grading_one_plain_value_agree():
+    # the first uses of fresh plain values race to write their memos: as an
+    # operand of a product, and as the side a deferred product is compared with
+    expected = {mono: int(c) for mono, c in d_mul(poly_fib(60), poly_luc(61)).items()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            plain, other, seen = BivarPoly(luc_poly(61).terms), BivarPoly(expected), {}
+            barrier = threading.Barrier(4)
+
+            def use(i):
+                barrier.wait()
+                product = fib_poly(60) * plain
+                seen[i] = (product == other, type(product), product.terms)
+
+            threads = [threading.Thread(target=use, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert [seen[i] for i in range(4)] == [(True, _LazyPoly, expected)] * 4
+            for value in (plain, other):
+                assert value._memo == (None, 0, *poly._grade(value.terms), len(value.terms))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "p", [ZERO, X * X - 2 * Y + 1, BivarPoly({(1, 0): Fraction(1, 2), (0, 1): Fraction(2)})]
+)
+def test_a_product_with_one_is_the_other_operand(p):
+    # ONE's coefficient is the int 1: the general loop's values and coefficient types
+    assert p * ONE is p and ONE * p is p
+
+
 def test_threads_reading_and_using_one_deferred_value_get_its_terms():
     # the first read of the terms unpacks the value in place, while other
     # threads may be in its methods: each must still see the one polynomial

@@ -42,7 +42,7 @@ from fibluc import (
 )
 from fibluc import cli, evaluate, identities, parse_expression, sequences
 from fibluc._seqcache import fib_poly, luc_poly
-from fibluc.poly import _LazyPoly, binary_power
+from fibluc.poly import _LazyPoly, _grade, binary_power
 from oracles import d_add, d_mul, int_seq, poly_fib, poly_luc
 
 
@@ -554,6 +554,38 @@ def test_packed_fills_give_the_ring_terms(requests, terms_bytes):
             # a growing list keeps its packed pair, a stopped one none
             assert (entry.packed is not None) is (packed and entry.walk is None)
             assert entry.size == stored_size(entry)
+
+
+def test_a_packed_step_measures_its_term_and_pair_as_size_does(monkeypatch):
+    steps, real = [], sequences._packed_next_term
+
+    def checked(packed, m):
+        term, size, pair = real(packed, m)
+        assert size == sequences._size(term)
+        assert pair.size == sum(map(sequences._size, (pair.a0, pair.b0, pair.a1, pair.b1)))
+        steps.append(m)
+        return term, size, pair
+
+    monkeypatch.setattr(sequences, "_packed_next_term", checked)
+    monkeypatch.setattr(sequences, "_pairs", {})
+    monkeypatch.setattr(sequences, "_pairs_size", 0)
+    for kind in SeqKind:
+        for pair in _PACKED_PAIRS:
+            assert seq(kind, 40, *pair) == _FILL_TERMS[kind, _FILL_PAIRS.index(pair)][40]
+    assert len(steps) == 2 * len(_PACKED_PAIRS) * 39
+    composed = ["EQ12", "EQ13", "EQ14", "EQ18", "EQ24", "EQ25", "EQ26", "EQ27"]
+    assert identities.run_catalog(24, 3, ids=composed).all_passed
+    assert len(steps) > 2 * len(_PACKED_PAIRS) * 39
+    for entry in sequences._pairs.values():
+        assert entry.size == stored_size(entry)
+
+
+def test_a_built_term_comes_graded_as_grade_grades_it():
+    assert sequences._build(SeqKind.FIB, 0)._memo is None
+    for kind in SeqKind:
+        for m in range(1, 301):
+            terms = sequences._build(kind, m)._terms
+            assert sequences._build(kind, m)._memo == (None, 0, *_grade(terms), len(terms))
 
 
 def test_a_packed_width_holds_its_cover_exactly(monkeypatch):
